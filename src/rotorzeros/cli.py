@@ -20,6 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .geometry import self_test
 from .laguerre import counterexample_scan, violation_witnesses
 from .measures import MeasureError, RadialMeasure, laplace_transform, validate_measure
 from .oracles import z_direct_circle, z_direct_mc
+from .polys import RATIONAL
 from .recursion import phi_chain, stable_coefficient_count
 from .zeros import VIOLATED, stabilize_chain
 
@@ -74,19 +76,24 @@ class RunConfig:
             command = data["command"]
             if command not in COMMANDS:
                 raise ConfigError(f"unknown command {command!r}")
-            measure = RadialMeasure.from_json(data.get("measure", {"kind": "sphere", "radius": 1.0}))
+            backend = str(data.get("backend", "float64"))
+            exact = backend == RATIONAL
+            measure = RadialMeasure.from_json(
+                data.get("measure", {"kind": "sphere", "radius": 1.0}), exact=exact
+            )
+            coupling = (lambda j: Fraction(str(j))) if exact else float
             cfg = cls(
                 command=command,
                 measure=measure,
                 Ns=tuple(int(n) for n in data.get("N", [2])),
                 Ds=tuple(int(d) for d in data.get("D", [2])),
-                Js=tuple(float(j) for j in data.get("J", [0.5])),
+                Js=tuple(coupling(j) for j in data.get("J", [0.5])),
                 degree_ladder=tuple(int(m) for m in data.get("degreeLadder", [30, 40])),
                 axis_tol=float(data.get("tolerances", {}).get("axis", 1e-6)),
                 drift_tol=float(data.get("tolerances", {}).get("drift", 1e-8)),
                 output_dir=str(data.get("outputDir", "out")),
                 seed=int(data.get("seed", 0)),
-                backend=str(data.get("backend", "float64")),
+                backend=backend,
                 oracle=bool(data.get("oracle", False)),
                 jobs=int(data.get("jobs", 1)),
                 ys=tuple(float(y) for y in data.get("y", [0.5, 1.0, 2.0])),
@@ -120,7 +127,7 @@ class RunConfig:
                 "measure": json.loads(self.measure.to_json()),
                 "N": list(self.Ns),
                 "D": list(self.Ds),
-                "J": list(self.Js),
+                "J": [float(j) for j in self.Js],
                 "degreeLadder": list(self.degree_ladder),
                 "tolerances": {"axis": self.axis_tol, "drift": self.drift_tol},
                 "seed": self.seed,
@@ -151,7 +158,7 @@ def _fmt(x):
 
 def _stabilize_task(args):
     measure_json, N, D, J, ladder, axis_tol, drift_tol, backend = args
-    measure = RadialMeasure.from_json(measure_json)
+    measure = RadialMeasure.from_json(measure_json, exact=backend == RATIONAL)
     reports = stabilize_chain(
         [N], D, J, measure, ladder, tol=axis_tol, drift_tol=drift_tol, field=backend
     )
@@ -268,7 +275,7 @@ def run(cfg: RunConfig) -> int:
                     {
                         "N": N,
                         "D": D,
-                        "J": J,
+                        "J": float(J),
                         "overall": rep.overall,
                         "stable_roots": int(sum(rep.stable)),
                         "scope": scope,

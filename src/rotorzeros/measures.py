@@ -97,12 +97,19 @@ class RadialMeasure:
         return json.dumps(data)
 
     @classmethod
-    def from_json(cls, text):
+    def from_json(cls, text, exact=False):
+        """Inverse of to_json; exact=True reads a sphere radius as a Fraction.
+
+        The exact radius is Fraction(str(r)), so 0.2 becomes 1/5; the label
+        is the same either way.
+        """
         data = json.loads(text) if isinstance(text, str) else dict(text)
         kind = data.get("kind")
         label = data.get("label")
         if kind == SPHERE:
-            return cls.sphere(data["radius"], label)
+            radius = data["radius"]
+            label = label or f"sphere(r={radius})"
+            return cls.sphere(Fraction(str(radius)) if exact else radius, label)
         if kind == DENSITY:
             return cls.density(data.get("f", [1.0]), data["g"], label)
         if kind == TABULATED:

@@ -32,7 +32,6 @@ from rotorzeros.polys import (
     PAIR_VARS,
     apply_operator,
     diagonal_series,
-    random_poly,
 )
 from rotorzeros.recursion import (
     delta_operator,
@@ -42,6 +41,7 @@ from rotorzeros.recursion import (
     psi_two,
 )
 from rotorzeros.zeros import VERIFIED, VIOLATED, find_roots, stabilize_chain
+from random_polys import random_poly
 from test_recursion import coupling_consistency_trials, surrogate
 
 SPHERE = RadialMeasure.sphere(1.0)

@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+from fractions import Fraction
 
 import numpy as np
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from rotorzeros.cli import ConfigError, RunConfig, main, run
+from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
 SPHERE_JSON = {"kind": "sphere", "radius": 1.0}
 
@@ -44,6 +46,15 @@ class TestConfig:
     def test_decreasing_ladder_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(make_config(tmp_path, degreeLadder=[40, 30]))
+
+    def test_rational_backend_parses_exact_scalars(self, tmp_path):
+        sphere = {"kind": "sphere", "radius": 0.2}
+        cfg = RunConfig.from_dict(
+            make_config(tmp_path, backend="rational", J=[0.2, 1.0], measure=sphere)
+        )
+        assert cfg.Js == (Fraction(1, 5), Fraction(1))
+        assert cfg.measure.radius == Fraction(1, 5)
+        assert cfg.measure.label == "sphere(r=0.2)"
 
     def test_hash_stability(self, tmp_path):
         a = RunConfig.from_dict(make_config(tmp_path)).config_hash()
@@ -202,6 +213,17 @@ class TestMainEntry:
             text=True,
         )
         assert proc.returncode == 0
+
+    def test_rational_backend_verify(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(make_config(tmp_path, N=[2, 3], J=[0.5], degreeLadder=[8, 10]))
+        )
+        assert main(["verify", "--config", str(cfg_path), "--backend", "rational"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["errors"] == []
+        assert [(v["N"], v["J"]) for v in report["verdicts"]] == [(2, 0.5), (3, 0.5)]
+        assert {v["overall"] for v in report["verdicts"]} <= {VERIFIED, VIOLATED, INCONCLUSIVE}
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -17,9 +17,10 @@ from rotorzeros.polys import (
     diagonal_series,
     exp_operator,
     merge_2_3,
-    random_poly,
 )
 from rotorzeros.recursion import delta_operator
+
+from random_polys import random_poly
 
 
 def poly(terms, variables=PAIR_VARS, cap=10, field=RATIONAL):

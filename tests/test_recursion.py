@@ -1,11 +1,13 @@
 """Tests for the transfer recursion: operators, psi builders, phi engines."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rotorzeros import recursion
 from rotorzeros.measures import LaplaceSeries, RadialMeasure, laplace_transform
 from rotorzeros.oracles import z_direct_circle
 from rotorzeros.polys import (
@@ -17,7 +19,6 @@ from rotorzeros.polys import (
     apply_operator,
     diagonal_series,
     exp_operator,
-    random_poly,
 )
 from rotorzeros.recursion import (
     delta_operator,
@@ -29,6 +30,8 @@ from rotorzeros.recursion import (
     psi_two,
     stable_coefficient_count,
 )
+
+from random_polys import random_poly
 
 SPHERE = RadialMeasure.sphere(1.0)
 
@@ -172,6 +175,59 @@ class TestEngineEquivalence:
         op = phi_from_transform(v16, 3, 0.5, 2, engine="operator").float_coefficients()
         fast = phi_from_transform(v12, 3, 0.5, 2, engine="fast").float_coefficients()
         assert np.allclose(op[:6], fast[:6], rtol=1e-10)
+
+
+class TestFloatStepPinned:
+    """The float step's output bits, recorded before its vectorisation.
+
+    Each hash covers every nonzero of Psi_N as float.hex(), so a 1-ulp
+    change in any kernel coefficient (from reordering a sum, say) fails.
+    """
+
+    PINS = {
+        (2, 2, 0.0): "e240bbb8c1748d92db4df05197d42908",
+        (2, 2, 0.2): "17d3f96a10dd1db1427fe7ccd5bcb9e0",
+        (2, 2, 1.0): "80238f443195f5cf845e99d033352047",
+        (2, 4, 0.0): "ca994966eb0292ce1d87d57d3acd503b",
+        (2, 4, 0.2): "a440a2c9141f7fef99d11dde41361918",
+        (2, 4, 1.0): "8f855775c95bb818d02696074a3f304b",
+        (3, 2, 0.0): "3db8e443164ce51584fd3185088856a7",
+        (3, 2, 0.2): "cec5db352ecd80cb02a9d8e4dc63c63d",
+        (3, 2, 1.0): "881b10ab80f595fc7be0b3d236007c00",
+        (3, 4, 0.0): "81e48fc2c8627c776c8bc7293c679eeb",
+        (3, 4, 0.2): "3755c2de922ecf5eee264214cc70654b",
+        (3, 4, 1.0): "3762b7e5efedc0e42e781d42fa8d507d",
+        (5, 2, 0.0): "f0d2bf1a753665f7c652c70b110344e6",
+        (5, 2, 0.2): "2e40b8a49c253295ce947698dd19b0f1",
+        (5, 2, 1.0): "b03c3c2e0808a2603dc3031d62f11739",
+        (5, 4, 0.0): "e9cde9b65cd38f1a07c596f7a71f6304",
+        (5, 4, 0.2): "9872785259d7ae95788217d50cc9e371",
+        (5, 4, 1.0): "dbb22f9a96801a03cbbaeddbf72be113",
+    }
+
+    @pytest.mark.parametrize("N,D,J", sorted(PINS))
+    def test_kernel_bits(self, N, D, J):
+        v = laplace_transform(SPHERE, D, 30)
+        psi = psi_kernel(v, N, J, D, engine="fast")
+        h = hashlib.sha256()
+        for key in sorted(psi.terms):
+            h.update(f"{key}:{psi.terms[key].hex()}\n".encode())
+        assert h.hexdigest()[:32] == self.PINS[(N, D, J)]
+
+
+def test_step_caches_stay_small():
+    # the weight tables are cached per degree cap and per triangle level;
+    # filling every level a cap of 50 can reach must stay under 4 MB
+    recursion._step_tables.cache_clear()
+    recursion._triangle.cache_clear()
+    for M in (30, 40, 50):
+        phi_chain([3], 4, 1.0, SPHERE, M)
+    assert recursion._step_tables.cache_info().currsize == 3
+    held = [recursion._step_tables(M) for M in (30, 40, 50)]
+    held += [recursion._triangle(L) for L in range(51)]
+    assert recursion._step_tables.cache_info().currsize == 3
+    assert recursion._triangle.cache_info().currsize == 51
+    assert sum(arr.nbytes for tables in held for arr in tables) < 4 * 2**20
 
 
 class TestPhi:

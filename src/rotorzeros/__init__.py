@@ -41,7 +41,6 @@ from .polys import (
     merge_2_3,
 )
 from .recursion import (
-    PartitionSeries,
     delta_operator,
     phi,
     phi_chain,

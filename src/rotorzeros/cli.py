@@ -7,7 +7,8 @@ byte-identical CSV artifacts (single-stream mode).
 
 Exit status: 0 on completion, 1 when any Violated verdict occurs inside a
 theorem-covered regime (even D, J > 0, certified measure), 2 on
-configuration errors.
+configuration errors, 3 when a numeric failure was recorded in the
+report's ``errors`` and no status 1 applies.
 """
 
 from __future__ import annotations
@@ -327,6 +328,8 @@ def run(cfg: RunConfig) -> int:
         except (MeasureError, ValueError, RuntimeError) as exc:
             errors.append(f"oracle comparison failed: {exc}")
 
+    if errors and status == 0:
+        status = 3
     timings["total_s"] = round(time.perf_counter() - t_start, 6)
     report = {
         "schema": SCHEMA_VERSION,

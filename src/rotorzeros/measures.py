@@ -229,6 +229,11 @@ class LaplaceSeries:
     In float mode the pi^(D/2) mass factor is folded into the coefficients
     and ``pi_power`` is 0.  In rational mode the coefficients are exact
     rationals and ``pi_power`` carries the power of pi symbolically.
+
+    The same type holds the partition series phi_N of a chain of
+    ``chain_length`` spins at ``coupling`` J, with Z_N(z) = phi_N(z^2); for a
+    single-spin transform both are None.  For nonnegative radial profiles
+    every coefficient is a positive moment integral.
     """
 
     coefficients: tuple
@@ -237,6 +242,8 @@ class LaplaceSeries:
     measure_label: str
     field: str = FLOAT
     pi_power: Fraction = Fraction(0)
+    chain_length: int | None = None
+    coupling: float | Fraction | None = None
 
     def __post_init__(self):
         if len(self.coefficients) != self.truncation_degree + 1:
@@ -273,10 +280,23 @@ class LaplaceSeries:
         return total
 
     def to_csv(self):
-        lines = ["n,c_n"]
+        lines = ["n,c_n" if self.chain_length is None else "n,a_n"]
         for n, c in enumerate(self.float_coefficients()):
             lines.append(f"{n},{float(c)!r}")
         return "\n".join(lines) + "\n"
+
+    def metadata(self, stable_through=None):
+        """Provenance of a chain series, for an artifact sidecar."""
+        data = {
+            "N": self.chain_length,
+            "D": self.dimension,
+            "J": float(self.coupling),
+            "measure": self.measure_label,
+            "M": self.truncation_degree,
+        }
+        if stable_through is not None:
+            data["stable_through"] = stable_through
+        return data
 
 
 def _wd_coefficients(D, r, M, field):

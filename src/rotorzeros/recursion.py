@@ -21,8 +21,9 @@ Two engines compute the same recursion:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -219,29 +220,25 @@ def _triangle(L):
 
 
 def _taylor_data(P, M):
-    """B[p, m, n] of the expansion of P around the diagonal (dense floats).
-
-    A function of its own so that the regrade temporaries are freed before
-    the accumulation loop allocates its own.
-    """
+    """B[p, m, n] of the expansion of P around the diagonal (dense floats)."""
     n1 = M + 1
     F, fact, _, _ = _step_tables(M)
-    idx = np.arange(n1)
     # Regrade P by total degree: R[alpha, gamma, d] = P[alpha, d-alpha-gamma, gamma]
-    A_, G_, D_ = np.meshgrid(idx, idx, idx, indexing="ij", sparse=False)
-    B_ = D_ - A_ - G_
-    valid = (B_ >= 0) & (B_ <= M)
     R = np.zeros((n1, n1, n1))
-    R[valid] = P[A_[valid], B_[valid], G_[valid]]
+    for al in range(n1):
+        for ga in range(n1 - al):
+            R[al, ga, al + ga :] = P[al, : n1 - al - ga, ga]
     # Falling-factorial transforms along the slot-1 and slot-3 axes.
+    # each dense temporary is dropped once used, to keep the step's peak low
     S = np.einsum("ia,agd->igd", F, R, optimize=True)
+    del R
     S = np.einsum("kg,igd->ikd", F, S, optimize=True)
     # Diagonal derivative data A[i, k, n] = S[i, k, n+i+k].
-    I_, K_, N_ = A_, G_, D_
-    DSUM = N_ + I_ + K_
-    ok = DSUM <= M
     Adata = np.zeros((n1, n1, n1))
-    Adata[ok] = S[I_[ok], K_[ok], DSUM[ok]]
+    for i in range(n1):
+        for k in range(n1 - i):
+            Adata[i, k, : n1 - i - k] = S[i, k, i + k :]
+    del S
     # B[p, m, n] = (1/p!) sum_j 2^j / (j! (m-j)!) A[p+j, m-j, n]
     Bdata = np.zeros((n1, n1, n1))
     for j in range(n1):
@@ -366,54 +363,8 @@ def _advance_exact(v_coeffs, P, J, D, M):
 
 
 # ---------------------------------------------------------------------------
-# Partition series
+# The chain driver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionSeries:
-    """phi_N as a univariate truncated series with provenance metadata.
-
-    Z_N(z) = phi(z^2); for nonnegative radial profiles every coefficient
-    is a positive moment integral.
-    """
-
-    coefficients: tuple
-    chain_length: int
-    dimension: int
-    coupling: float
-    measure_label: str
-    truncation_degree: int
-    field: str = FLOAT
-    pi_power: Fraction = Fraction(0)
-
-    def float_coefficients(self):
-        scale = math.pi ** float(self.pi_power)
-        return np.array([float(c) * scale for c in self.coefficients])
-
-    def evaluate(self, zeta):
-        total = 0.0 + 0.0j
-        for c in reversed(self.float_coefficients()):
-            total = total * zeta + c
-        return total
-
-    def to_csv(self):
-        lines = ["n,a_n"]
-        for n, c in enumerate(self.float_coefficients()):
-            lines.append(f"{n},{float(c)!r}")
-        return "\n".join(lines) + "\n"
-
-    def metadata(self, stable_through=None):
-        data = {
-            "N": self.chain_length,
-            "D": self.dimension,
-            "J": float(self.coupling),
-            "measure": self.measure_label,
-            "M": self.truncation_degree,
-        }
-        if stable_through is not None:
-            data["stable_through"] = stable_through
-        return data
 
 
 def _diag_from_tensor(P, M):
@@ -422,71 +373,77 @@ def _diag_from_tensor(P, M):
     return np.bincount(deg.ravel(), weights=P.ravel(), minlength=n1)[: n1]
 
 
-def _poly_to_tensor(p: TruncatedPoly, M):
-    P = np.zeros((M + 1, M + 1, M + 1))
-    for (a, b, c), v in p.terms.items():
-        P[a, b, c] = float(v)
-    return P
+def _chain(v: LaplaceSeries, J, D, engine):
+    """Grow the chain from the transform v one spin at a time.
+
+    Yields (kernel, diagonal) for N = 1, 2, 3, ...: Psi_N in the engine's
+    own form (a dense float tensor, or a pair-ring polynomial) and the M+1
+    coefficients of phi_N.  At N = 1 the kernel is the fast engine's seed
+    v(g11), and None for the operator engine, which starts at psi_two.
+    """
+    M = v.truncation_degree
+    if engine == "operator":
+        kernel, diagonal = None, diagonal_series
+
+        def advance(psi):
+            return psi_two(v, v, J, D) if psi is None else psi_step(v, psi, J, D)
+
+    elif engine != "fast":
+        raise ValueError(f"unknown engine {engine!r}")
+    elif v.field == RATIONAL:
+        kernel, diagonal = _series_poly(v, "g11", PAIR_VARS), diagonal_series
+
+        def advance(psi):
+            return TruncatedPoly(
+                PAIR_VARS, _advance_exact(v.coefficients, psi.terms, J, D, M), M, RATIONAL
+            )
+
+    else:
+        v_arr = np.array([float(c) for c in v.coefficients])
+        kernel = np.zeros((M + 1, M + 1, M + 1))
+        kernel[:, 0, 0] = v_arr
+
+        def diagonal(P):
+            return list(_diag_from_tensor(P, M))
+
+        def advance(P):
+            return _advance_float(v_arr, P, float(J), int(D), M)
+
+    yield kernel, tuple(v.coefficients)
+    zero = coerce_scalar(0, v.field)
+    while True:
+        kernel = advance(kernel)
+        diag = diagonal(kernel)
+        yield kernel, tuple(diag) + (zero,) * (M + 1 - len(diag))
 
 
-def phi_from_transform(v: LaplaceSeries, N, J, D, engine="fast") -> PartitionSeries:
+def _chain_series(v: LaplaceSeries, Ns, J, D, engine):
+    """phi_N for every chain length N in Ns, in ascending N, from one _chain."""
+    Ns = list(Ns)
+    if not Ns or any(n < 1 or int(n) != n for n in Ns):
+        raise ValueError(f"chain lengths must be positive integers, got {Ns}")
+    wanted = {int(n) for n in Ns}
+    out = {}
+    # zip stops on the range, so no step past the longest chain is taken
+    for N, (_, diag) in zip(range(1, max(wanted) + 1), _chain(v, J, D, engine)):
+        if N in wanted:
+            out[N] = replace(
+                v,
+                coefficients=diag,
+                dimension=int(D),
+                pi_power=v.pi_power * N,
+                chain_length=N,
+                coupling=J,
+            )
+    return out
+
+
+def phi_from_transform(v: LaplaceSeries, N, J, D, engine="fast") -> LaplaceSeries:
     """Diagonal partition series built from an explicit transform series.
 
-    Useful for surrogate kernels; ``phi`` wraps this for real measures.
+    Useful for surrogate kernels; ``phi`` does the same for real measures.
     """
-    if N < 1 or int(N) != N:
-        raise ValueError(f"chain length must be a positive integer, got {N}")
-    N = int(N)
-    M = v.truncation_degree
-    if N == 1:
-        coeffs = tuple(v.coefficients)
-    elif engine == "fast":
-        coeffs = _phi_fast(v, N, J, D)[N]
-    elif engine == "operator":
-        coeffs = _phi_operator(v, N, J, D)[N]
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    coeffs = tuple(coeffs) + tuple(
-        coerce_scalar(0, v.field) for _ in range(M + 1 - len(coeffs))
-    )
-    return PartitionSeries(
-        coeffs[: M + 1], N, int(D), J, v.measure_label, M, v.field, v.pi_power * N
-    )
-
-
-def _phi_fast(v: LaplaceSeries, N, J, D):
-    M = v.truncation_degree
-    diags = {1: list(v.coefficients)}
-    if v.field == RATIONAL:
-        P = {}
-        for n, c in enumerate(v.coefficients):
-            if c != 0:
-                P[(n, 0, 0)] = c
-        for step in range(2, N + 1):
-            P = _advance_exact(v.coefficients, P, J, D, M)
-            diag = [Fraction(0)] * (M + 1)
-            for (a, b, c), val in P.items():
-                diag[a + b + c] += val
-            diags[step] = diag
-        return diags
-    v_arr = np.array([float(c) for c in v.coefficients])
-    P = np.zeros((M + 1, M + 1, M + 1))
-    P[:, 0, 0] = v_arr
-    for step in range(2, N + 1):
-        P = _advance_float(v_arr, P, float(J), int(D), M)
-        diags[step] = list(_diag_from_tensor(P, M))
-    return diags
-
-
-def _phi_operator(v: LaplaceSeries, N, J, D):
-    diags = {1: list(v.coefficients)}
-    psi = None
-    for step in range(2, N + 1):
-        psi = psi_two(v, v, J, D) if step == 2 else psi_step(v, psi, J, D)
-        diag = diagonal_series(psi)
-        diag = diag + [coerce_scalar(0, v.field)] * (v.truncation_degree + 1 - len(diag))
-        diags[step] = diag
-    return diags
+    return _chain_series(v, [N], J, D, engine)[N]
 
 
 def psi_kernel(v: LaplaceSeries, N, J, D, engine="fast") -> TruncatedPoly:
@@ -497,32 +454,16 @@ def psi_kernel(v: LaplaceSeries, N, J, D, engine="fast") -> TruncatedPoly:
     """
     if N < 2 or int(N) != N:
         raise ValueError("the two-boundary kernel needs at least two spins")
-    N = int(N)
-    M = v.truncation_degree
-    if engine == "operator":
-        psi = psi_two(v, v, J, D)
-        for _ in range(3, N + 1):
-            psi = psi_step(v, psi, J, D)
-        return psi
-    if engine != "fast":
-        raise ValueError(f"unknown engine {engine!r}")
-    if v.field == RATIONAL:
-        P = {(n, 0, 0): c for n, c in enumerate(v.coefficients) if c != 0}
-        for _ in range(2, N + 1):
-            P = _advance_exact(v.coefficients, P, J, D, M)
-        return TruncatedPoly(PAIR_VARS, dict(P), M, RATIONAL)
-    v_arr = np.array([float(c) for c in v.coefficients])
-    P = np.zeros((M + 1, M + 1, M + 1))
-    P[:, 0, 0] = v_arr
-    for _ in range(2, N + 1):
-        P = _advance_float(v_arr, P, float(J), int(D), M)
-    terms = {}
-    for a, b, c in zip(*np.nonzero(P)):
-        terms[(int(a), int(b), int(c))] = float(P[a, b, c])
-    return TruncatedPoly(PAIR_VARS, terms, M, FLOAT)
+    kernel, _ = next(itertools.islice(_chain(v, J, D, engine), int(N) - 1, None))
+    if isinstance(kernel, TruncatedPoly):
+        return kernel
+    terms = {
+        (int(a), int(b), int(c)): float(kernel[a, b, c]) for a, b, c in zip(*np.nonzero(kernel))
+    }
+    return TruncatedPoly(PAIR_VARS, terms, v.truncation_degree, FLOAT)
 
 
-def stable_coefficient_count(lower: PartitionSeries, upper: PartitionSeries, rel_tol=1e-10):
+def stable_coefficient_count(lower: LaplaceSeries, upper: LaplaceSeries, rel_tol=1e-10):
     """Highest index K with a_0..a_K agreeing between two truncation degrees.
 
     The ladder's coefficient-level convergence check: a coefficient is
@@ -540,33 +481,15 @@ def stable_coefficient_count(lower: PartitionSeries, upper: PartitionSeries, rel
     return count
 
 
-def phi(N, D, J, measure: RadialMeasure, M, field=FLOAT, engine="fast") -> PartitionSeries:
+def phi(N, D, J, measure: RadialMeasure, M, field=FLOAT, engine="fast") -> LaplaceSeries:
     """Partition series phi_{N,D} for a chain of N spins at coupling J.
 
     N = 1 returns the single-spin transform; longer chains iterate the
     transfer recursion at truncation degree M.  Z_N(z) = phi(z^2).
     """
-    v = laplace_transform(measure, D, M, field)
-    return phi_from_transform(v, N, J, D, engine)
+    return phi_chain([N], D, J, measure, M, field, engine)[N]
 
 
 def phi_chain(Ns, D, J, measure: RadialMeasure, M, field=FLOAT, engine="fast"):
     """phi for every chain length in Ns, sharing one recursion sweep."""
-    Ns = sorted(set(int(n) for n in Ns))
-    if not Ns or Ns[0] < 1:
-        raise ValueError("chain lengths must be positive integers")
-    v = laplace_transform(measure, D, M, field)
-    if engine == "fast":
-        diags = _phi_fast(v, Ns[-1], J, D)
-    else:
-        diags = _phi_operator(v, Ns[-1], J, D)
-    out = {}
-    for n in Ns:
-        coeffs = tuple(diags[n])
-        coeffs = coeffs + tuple(
-            coerce_scalar(0, v.field) for _ in range(M + 1 - len(coeffs))
-        )
-        out[n] = PartitionSeries(
-            coeffs[: M + 1], n, int(D), J, measure.label, M, field, v.pi_power * n
-        )
-    return out
+    return _chain_series(laplace_transform(measure, D, M, field), Ns, J, D, engine)

@@ -172,9 +172,18 @@ class TestRun:
                 D=[1],
             )
         )
-        assert run(cfg) == 0
+        assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert any("numeric failure" in e for e in report["errors"])
+
+    def test_underflow_wall_exits_3(self, tmp_path):
+        # D=2 sphere coefficients underflow to 0.0 past n ~ 88, so the
+        # companion matrix of the degree-120 rung is not finite
+        cfg = RunConfig.from_dict(make_config(tmp_path, N=[1], degreeLadder=[100, 120]))
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdicts"] == []
+        assert report["errors"] and report["exit_status"] == 3
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg1 = RunConfig.from_dict(

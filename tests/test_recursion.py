@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -230,6 +231,23 @@ def test_step_caches_stay_small():
     assert sum(arr.nbytes for tables in held for arr in tables) < 4 * 2**20
 
 
+def test_float_step_working_set():
+    # one M = 50 step, caches warm: its temporaries are a few 1 MB dense
+    # tensors, with no index tensors of that size beside them
+    M = 50
+    v = laplace_transform(SPHERE, 4, M).float_coefficients()
+    P = np.zeros((M + 1, M + 1, M + 1))
+    P[:, 0, 0] = v
+    P = recursion._advance_float(v, P, 1.0, 4, M)
+    tracemalloc.start()
+    try:
+        recursion._advance_float(v, P, 1.0, 4, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 class TestPhi:
     def test_single_spin_is_transform(self):
         series = phi(1, 2, 0.7, SPHERE, 20)
@@ -273,13 +291,16 @@ class TestPhi:
         assert k >= 20
         assert stable_coefficient_count(high, high) == 41
 
-    def test_chain_matches_individual_runs(self):
-        chain = phi_chain([2, 4], 2, 0.3, SPHERE, 25)
+    @pytest.mark.parametrize("engine", ["fast", "operator"])
+    @pytest.mark.parametrize(
+        "field,J", [(FLOAT, 0.3), (RATIONAL, Fraction(3, 10))], ids=[FLOAT, RATIONAL]
+    )
+    def test_chain_matches_individual_runs(self, field, J, engine):
+        chain = phi_chain([4, 2], 2, J, SPHERE, 8, field, engine)
+        assert list(chain) == [2, 4]
         for N in (2, 4):
-            single = phi(N, 2, 0.3, SPHERE, 25)
-            assert np.allclose(
-                chain[N].float_coefficients(), single.float_coefficients(), rtol=0
-            )
+            single = phi(N, 2, J, SPHERE, 8, field, engine)
+            assert chain[N] == single
 
     def test_oracle_agreement_fast_engine(self):
         series = phi(3, 2, 0.5, SPHERE, 40)

@@ -298,7 +298,11 @@ def run(cfg: RunConfig) -> int:
             if not ok:
                 status = 1
         elif cfg.command == "counterexample-scan":
-            scan = counterexample_scan(ladder=cfg.degree_ladder if len(cfg.degree_ladder) >= 2 else (40, 60))
+            scan = counterexample_scan(
+                ladder=cfg.degree_ladder if len(cfg.degree_ladder) >= 2 else (40, 60),
+                tol=cfg.axis_tol,
+                drift_tol=cfg.drift_tol,
+            )
             lines = ["a,overall,n_off_axis,first_off_axis_re,first_off_axis_im"]
             for row in scan:
                 first = row["off_axis_roots"][0] if row["off_axis_roots"] else ["", ""]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .measures import RadialMeasure, laplace_transform
 from .zeros import (
+    DRIFT_TOL,
     NEGATIVE_REAL,
     OFF_AXIS,
     VIOLATED,
@@ -150,22 +151,24 @@ def counterexample_measure(a) -> RadialMeasure:
 
 
 def counterexample_scan(
-    a_values=None, D=1, ladder=(40, 60), tol=1e-6
+    a_values=None, D=1, ladder=(40, 60), tol=1e-6, drift_tol=DRIFT_TOL
 ):
     """Scan the well density over a; report where stable off-axis roots appear.
 
     Returns a list of dicts {a, overall, off_axis_roots}; the scan is the
     engine's demonstration that verdicts are not vacuously Verified.
+    Coefficient n of a transform does not depend on the truncation degree,
+    so each a computes its moments once, at the top rung, and every rung
+    takes a prefix.
     """
     if a_values is None:
         a_values = [round(-5 + 0.25 * k, 2) for k in range(41)]
     results = []
     for a in a_values:
-        meas = counterexample_measure(a)
-        series = {
-            M: laplace_transform(meas, D, M).float_coefficients() for M in ladder
-        }
-        report = stabilize_series(series, tol=tol)
+        top = laplace_transform(counterexample_measure(a), D, max(ladder))
+        coeffs = top.float_coefficients()
+        series = {M: coeffs[: M + 1] for M in ladder}
+        report = stabilize_series(series, tol=tol, drift_tol=drift_tol)
         off = [
             [r.real, r.imag]
             for r, v, s in zip(report.roots, report.verdicts, report.stable)

@@ -290,8 +290,23 @@ def _advance_float(v_coeffs, P, J, D, M):
     return out.reshape(n1, n1, n1).transpose(1, 2, 0).copy()
 
 
+def _add_row(target, offset, coef, row):
+    """target[offset + n] += coef * row[n], on lists of Python ints."""
+    stop = offset + len(row)
+    target[offset:stop] = [t + coef * x for t, x in zip(target[offset:stop], row)]
+
+
+def _int_rows(n1):
+    return [[[0] * n1 for _ in range(n1)] for _ in range(n1)]
+
+
 def _advance_exact(v_coeffs, P, J, D, M):
-    """Rational-field version of _advance_float on sparse dicts."""
+    """Rational-field version of _advance_float on sparse dicts.
+
+    The J != 0 step runs in Python ints over one common denominator and
+    builds one Fraction per nonzero output term, so it returns exactly
+    the rationals of the step written out in Fractions.
+    """
     J = coerce_scalar(J, RATIONAL)
     if J == 0:
         # the step collapses to v(zeta1) times the diagonal of the kernel
@@ -308,58 +323,81 @@ def _advance_exact(v_coeffs, P, J, D, M):
                     key = (n1, n2, 0)
                     out[key] = out.get(key, Fraction(0)) + cv * c
         return {k: v for k, v in out.items() if v != 0}
-    # Diagonal derivative data A[(i,k)][n].
-    Adata = {}
+    if int(D) != D:
+        raise ValueError(f"dimension must be a positive integer, got {D}")
+    D = int(D)
+    # P = Pn / dP, v = vn / dv and J^e = Jn^e Jd^(E-e) / Jd^E with E >= every
+    # exponent used, so the output is out / (dP dv Jd^E) with integer out.
+    dP = math.lcm(*(c.denominator for c in P.values()))
+    dv = math.lcm(*(c.denominator for c in v_coeffs))
+    top = max((sum(key) for key in P), default=0)
+    n1 = max(top, M) + 1
+    # Pn[al][ga] is a row over be.
+    Pn = _int_rows(n1)
     for (al, be, ga), c in P.items():
-        for i in range(al + 1):
-            fi = _falling(al, i)
-            for k in range(ga + 1):
-                n = al + be + ga - i - k
-                key = (i, k)
-                arr = Adata.setdefault(key, {})
-                arr[n] = arr.get(n, Fraction(0)) + c * fi * _falling(ga, k)
-    Bdata = {}
-    for (i, k), arr in Adata.items():
-        # (i, k) = (p + j, m - j) for every split of i
-        for j in range(i + 1):
-            p, m = i - j, k + j
-            w = Fraction(2**j, math.factorial(j) * math.factorial(k) * math.factorial(p))
-            tgt = Bdata.setdefault((p, m), {})
-            for n, c in arr.items():
-                tgt[n] = tgt.get(n, Fraction(0)) + w * c
-    V = [list(v_coeffs)]
+        Pn[al][ga][be] = c.numerator * (dP // c.denominator)
+    # Diagonal derivative data with the 1/(i! k!) of the B split folded in,
+    # A[i][k][n] = sum of C(al, i) C(ga, k) Pn[al][ga][be] over
+    # al+be+ga = n+i+k: first along al into T[i][ga] (a row over
+    # al+be-i), then along ga.
+    T = _int_rows(n1)
+    for al in range(n1):
+        for ga in range(n1 - al):
+            row = Pn[al][ga][: n1 - al - ga]
+            if any(row):
+                for i in range(al + 1):
+                    _add_row(T[i][ga], al - i, math.comb(al, i), row)
+    A = _int_rows(n1)
+    for i in range(n1):
+        for ga in range(n1 - i):
+            row = T[i][ga][: n1 - i - ga]
+            if any(row):
+                for k in range(ga + 1):
+                    _add_row(A[i][k], ga - k, math.comb(ga, k), row)
+    # B[p][m] = sum_j 2^j C(p+j, j) A[p+j][m-j] is the B[p, m] of the
+    # float step times dP: 2^j / (j! k! p!) times i! k! is 2^j C(i, j).
+    B = _int_rows(n1)
+    for i in range(n1):
+        for k in range(n1 - i):
+            row = A[i][k][: n1 - i - k]
+            if any(row):
+                for j in range(i + 1):
+                    _add_row(B[i - j][k + j], 0, math.comb(i, j) << j, row)
+    # Laplacian lifts V_p of the new spin's transform, times dv.
+    V = [[c.numerator * (dv // c.denominator) for c in v_coeffs]]
     for p in range(1, M + 1):
         prev = V[-1]
-        V.append(
-            [2 * (n + 1) * (D + 2 * n) * prev[n + 1] for n in range(len(prev) - 1)]
-        )
-    out = {}
-    for (p, m), arr in Bdata.items():
-        if p > M or m > M:
-            continue
-        for a in range(m // 2 + 1):
-            q = m - a
-            w = (
-                Fraction(math.factorial(m) * 2 ** (m - 2 * a),
-                         math.factorial(a) * math.factorial(m - 2 * a))
-                * J ** (m + 2 * p)
-            )
-            L = M - (m - a)
-            Vp = V[p] if p < len(V) else []
-            for n1v in range(min(L + 1, max(len(Vp) - q, 0))):
-                vq = Vp[n1v + q] * _falling(n1v + q, q)
-                if vq == 0:
-                    continue
-                for n2, c in arr.items():
-                    if n1v + n2 > L:
-                        continue
-                    key = (n1v, n2 + a, m - 2 * a)
-                    val = out.get(key, Fraction(0)) + w * vq * c
-                    if val == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-    return out
+        V.append([2 * (n + 1) * (D + 2 * n) * prev[n + 1] for n in range(len(prev) - 1)])
+    # B[p][m] is nonzero only for p + m <= top, so m + 2p <= 2 top
+    E = 2 * top
+    Jn, Jd = J.numerator, J.denominator
+    Jpow = [Jn**e * Jd ** (E - e) for e in range(E + 1)]
+    fact = [math.factorial(k) for k in range(M + 1)]
+    # out[n1v][c][n2] is the term of zeta1^n1v zeta2^n2 zeta12^c
+    out = _int_rows(M + 1)
+    for p in range(min(M + 1, len(V))):
+        Vp = V[p]
+        for m in range(M + 1):
+            Bpm = B[p][m]
+            if not any(Bpm):
+                continue
+            for a in range(m // 2 + 1):
+                q, c = m - a, m - 2 * a
+                L = M - q
+                # m! 2^(m-2a) / (a! (m-2a)!) J^(m+2p), times Jd^E
+                w = (fact[m] // (fact[a] * fact[c]) << c) * Jpow[m + 2 * p]
+                for n1v in range(min(L + 1, len(Vp) - q)):
+                    vq = Vp[n1v + q] * math.perm(n1v + q, q)
+                    if vq:
+                        _add_row(out[n1v][c], a, w * vq, Bpm[: L - n1v + 1])
+    den = dP * dv * Jd**E
+    return {
+        (n1v, n2, c): Fraction(num, den)
+        for n1v, plane in enumerate(out)
+        for c, row in enumerate(plane)
+        for n2, num in enumerate(row)
+        if num
+    }
 
 
 # ---------------------------------------------------------------------------

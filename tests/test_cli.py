@@ -154,6 +154,24 @@ class TestRun:
         body = (tmp_path / "out" / "counterexample_scan.csv").read_text()
         assert "LeeYangViolated" in body
 
+    def test_counterexample_scan_honours_tolerances(self, tmp_path):
+        # a zero drift tolerance admits no stable root, so no violation
+        # witness can fire and the scan must exit 1
+        cfg = RunConfig.from_dict(
+            make_config(
+                tmp_path,
+                command="counterexample-scan",
+                degreeLadder=[12, 16],
+                tolerances={"drift": 0},
+            )
+        )
+        assert run(cfg) == 1
+        rows = (tmp_path / "out" / "counterexample_scan.csv").read_text().splitlines()[1:]
+        assert len(rows) == 41
+        for row in rows:
+            _a, overall, n_off_axis, _re, _im = row.split(",")
+            assert overall == INCONCLUSIVE and n_off_axis == "0"
+
     def test_oracle_compare_needs_sphere(self, tmp_path):
         density = {"kind": "density", "f": [1.0], "g": [0.0, 0.0, 1.0]}
         cfg = RunConfig.from_dict(

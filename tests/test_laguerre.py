@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rotorzeros import measures
 from rotorzeros.laguerre import (
     FAIL,
     PASS,
@@ -81,6 +82,27 @@ class TestCounterexample:
         assert by_a[2.0]["overall"] == VIOLATED
         assert by_a[-3.0]["overall"] != VIOLATED
         assert violation_witnesses(scan) == [by_a[2.0]]
+
+    def test_scan_computes_each_moment_once(self, monkeypatch):
+        # the rung-40 coefficients are a prefix of the rung-60 ones, so one
+        # a at ladder (40, 60) needs m_k for 61 indices, not 41 + 61
+        calls = []
+        original = measures.radial_moment
+
+        def counted(measure, k):
+            calls.append(k)
+            return original(measure, k)
+
+        monkeypatch.setattr(measures, "radial_moment", counted)
+        counterexample_scan(a_values=[2.0], ladder=(40, 60))
+        assert len(calls) == 61
+
+    @pytest.mark.parametrize("a", [-5.0, 0.0, 2.0, 5.0])
+    def test_rung_coefficients_are_a_prefix_of_the_top_rung(self, a):
+        meas = counterexample_measure(a)
+        low = laplace_transform(meas, 1, 40).float_coefficients()
+        top = laplace_transform(meas, 1, 60).float_coefficients()
+        assert np.array_equal(low, top[:41])
 
     def test_evidence_json_shape(self):
         ev = laguerre_evidence([1, 3, 3, 1, 0, 0], window=3, depth=1, subject="cube")

@@ -135,13 +135,27 @@ class TestPsiStep:
 class TestEngineEquivalence:
     """The fast diagonal engine reproduces the operator pipeline exactly."""
 
-    @pytest.mark.parametrize("D,deg_v,N", [(2, 3, 4), (3, 3, 4), (5, 3, 4), (3, 2, 5)])
-    def test_exact_match_without_truncation_pressure(self, D, deg_v, N):
+    @pytest.mark.parametrize(
+        "D,deg_v,N,J",
+        [
+            pytest.param(2, 3, 4, None, id="2-3-4"),
+            pytest.param(3, 3, 4, None, id="3-3-4"),
+            pytest.param(5, 3, 4, None, id="5-3-4"),
+            pytest.param(3, 2, 5, None, id="3-2-5"),
+            # a negative coupling and an integer one, beside the random
+            # positive sevenths: the exact step scales by J's numerator and
+            # denominator separately
+            pytest.param(4, 3, 4, Fraction(-7, 3), id="4-3-4-J=-7/3"),
+            pytest.param(2, 2, 5, Fraction(5), id="2-2-5-J=5"),
+        ],
+    )
+    def test_exact_match_without_truncation_pressure(self, D, deg_v, N, J):
         rng = np.random.default_rng(29 + D + N)
         M = deg_v * N
         coeffs = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5))) for _ in range(deg_v + 1)]
         v = surrogate(coeffs, D, pad_to=M)
-        J = Fraction(int(rng.integers(1, 6)), 7)
+        if J is None:
+            J = Fraction(int(rng.integers(1, 6)), 7)
         op = phi_from_transform(v, N, J, D, engine="operator")
         fast = phi_from_transform(v, N, J, D, engine="fast")
         assert op.coefficients == fast.coefficients
@@ -163,10 +177,12 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(41)
         coeffs = [Fraction(int(rng.integers(1, 7)), 3) for _ in range(4)]
         v = surrogate(coeffs, 4, pad_to=9)
-        for N in (2, 3):
-            op = psi_kernel(v, N, Fraction(3, 7), 4, engine="operator")
-            fast = psi_kernel(v, N, Fraction(3, 7), 4, engine="fast")
-            assert op == fast
+        for J in (Fraction(3, 7), Fraction(-7, 3), Fraction(5)):
+            for N in (2, 3):
+                op = psi_kernel(v, N, J, 4, engine="operator")
+                fast = psi_kernel(v, N, J, 4, engine="fast")
+                assert op == fast
+                assert all(type(c) is Fraction for c in fast.terms.values())
 
     def test_truncated_kernels_agree_on_stabilized_window(self):
         # with a genuinely truncated kernel the two schemes differ in the

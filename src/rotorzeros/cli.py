@@ -110,7 +110,8 @@ class RunConfig:
         for name, values in (("N", self.Ns), ("D", self.Ds), ("J", self.Js)):
             if not values:
                 raise ConfigError(f"list {name} must be nonempty")
-        if len(self.degree_ladder) < 2 and self.command in ("zeros", "verify", "sweep"):
+        ladder_commands = ("zeros", "verify", "sweep", "counterexample-scan")
+        if len(self.degree_ladder) < 2 and self.command in ladder_commands:
             raise ConfigError("degreeLadder needs at least two stages")
         if any(b <= a for a, b in zip(self.degree_ladder, self.degree_ladder[1:])):
             raise ConfigError("degreeLadder must be strictly increasing")
@@ -299,7 +300,7 @@ def run(cfg: RunConfig) -> int:
                 status = 1
         elif cfg.command == "counterexample-scan":
             scan = counterexample_scan(
-                ladder=cfg.degree_ladder if len(cfg.degree_ladder) >= 2 else (40, 60),
+                ladder=cfg.degree_ladder,
                 tol=cfg.axis_tol,
                 drift_tol=cfg.drift_tol,
             )

@@ -13,6 +13,7 @@ power of pi symbolic (``pi_power``) so identity tests remain exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -31,6 +32,10 @@ TABULATED = "tabulated"
 # until the integrand is below TAIL_DROP of its peak.
 QUAD_RTOL = 1e-12
 TAIL_DROP = 1e-16
+# Measure profiles kept compiled, each with its moments (about 14 kB for a
+# scan point at M = 60).  A run works through one measure at a time, so a few
+# suffice; the scan over the quartic well's a never returns to an old point.
+COMPILED_PROFILES = 8
 
 
 class MeasureError(ValueError):
@@ -351,21 +356,91 @@ def wd_series(D, r, M, field=FLOAT) -> LaplaceSeries:
     return LaplaceSeries(tuple(coeffs), int(D), M, f"w_{D}(r={r})", field)
 
 
+def _horner(coeffs):
+    """Scalar polyval(s, coeffs) for a Python float s, in polyval's float operations.
+
+    Seeded with c[-1] + s*0 as polyval is, so a -0.0 coefficient, inf and
+    nan come out as they do there.
+    """
+    last, rest = coeffs[-1], coeffs[-2::-1]
+
+    def value(s):
+        acc = last + s * 0
+        for c in rest:
+            acc = c + acc * s
+        return acc
+
+    return value
+
+
+def _density_tau(measure: RadialMeasure):
+    """tau = f exp(-g) for a Python float s, equal to measure.profile(s) bit for bit.
+
+    Horner in Python floats in polyval's order, then np.exp, without the
+    array set-up that costs polyval microseconds per scalar call.
+    """
+    f = _horner([float(c) for c in measure.f_coeffs])
+    g = _horner([float(c) for c in measure.g_coeffs])
+    exp = np.exp
+
+    def tau(s):
+        return f(s) * exp(-g(s))
+
+    return tau
+
+
+class _Profile:
+    """A measure's profile compiled for scalar calls, with what it has computed.
+
+    ``tau`` is the scalar profile (compiled for a density, the measure's own
+    for a tabulated profile); ``moments`` maps k to m_k; ``probes`` holds the
+    tail cutoff's probe grids with the profile on them, which do not depend
+    on k.
+    """
+
+    def __init__(self, measure: RadialMeasure):
+        self.measure = measure
+        self.tau = _density_tau(measure) if measure.kind == DENSITY else measure.profile
+        self.moments = {}
+        self.probes = []
+
+    def integrand(self, k):
+        """x -> 2 x^(2k+1) tau(x^2), the moment integrand in x = sqrt(s)."""
+        tau, power = self.tau, 2 * k + 1
+
+        def value(x):
+            return 2.0 * x**power * tau(x * x)
+
+        return value
+
+    def probe(self, i):
+        """(R, grid, profile on grid) of _tail_cutoff's i-th probe, R = 10 * 1.5^i."""
+        while len(self.probes) <= i:
+            if self.probes:
+                R = self.probes[-1][0] * 1.5
+                grid = np.linspace(1e-9, R, 600)
+            else:
+                R = 10.0
+                grid = np.linspace(1e-9, R, 400)
+            self.probes.append((R, grid, self.measure.profile(grid)))
+        return self.probes[i]
+
+
+@functools.lru_cache(maxsize=COMPILED_PROFILES)
+def _compiled(measure: RadialMeasure) -> _Profile:
+    return _Profile(measure)
+
+
 def _tail_cutoff(measure: RadialMeasure, k):
     """Upper integration limit R with r^k tau(r) below TAIL_DROP of its peak."""
-
-    def integrand(r):
-        return float(r**k * measure.profile(r))
-
-    grid = np.linspace(1e-9, 10.0, 400)
-    peak = float(np.max(grid**k * measure.profile(grid)))
-    R = 10.0
-    for _ in range(60):
-        if peak > 0 and integrand(R) < TAIL_DROP * peak:
+    compiled = _compiled(measure)
+    R, grid, tau = compiled.probe(0)
+    peak = float(np.max(grid**k * tau))
+    for i in range(1, 61):
+        if peak > 0 and float(R**k * compiled.tau(R)) < TAIL_DROP * peak:
             return R
-        R *= 1.5
-        grid = np.linspace(1e-9, R, 600)
-        peak = max(peak, float(np.max(grid**k * measure.profile(grid))))
+        R, grid, tau = compiled.probe(i)
+        peak = max(peak, float(np.max(grid**k * tau)))
     raise MeasureError(
         f"quadrature non-convergence: no integrable tail found for {measure.label}"
     )
@@ -377,6 +452,8 @@ def radial_moment(measure: RadialMeasure, k):
     Computed in the original length variable x = sqrt(r), where the
     integrand 2 x^(2k+1) tau(x^2) is smooth even for half-integer k,
     by adaptive Gauss-Kronrod quadrature at relative tolerance 1e-12.
+    A density's moments are kept with its compiled profile (for the last
+    COMPILED_PROFILES measures used), so every rung of a ladder shares them.
     """
     if measure.kind == SPHERE:
         return float(measure.radius) ** k
@@ -387,18 +464,18 @@ def radial_moment(measure: RadialMeasure, k):
             )
         grid = np.array(measure.samples)
         return float(integrate.simpson(grid[:, 0] ** k * grid[:, 1], x=grid[:, 0]))
+    compiled = _compiled(measure)
+    if k in compiled.moments:
+        return compiled.moments[k]
     R = _tail_cutoff(measure, max(k, 0))
-
-    def integrand(x):
-        return 2.0 * x ** (2 * k + 1) * measure.profile(x * x)
-
     value, err = integrate.quad(
-        integrand, 0.0, math.sqrt(R), epsabs=0.0, epsrel=QUAD_RTOL, limit=400
+        compiled.integrand(k), 0.0, math.sqrt(R), epsabs=0.0, epsrel=QUAD_RTOL, limit=400
     )
     if not math.isfinite(value) or (value != 0 and err > 1e-7 * abs(value)):
         raise MeasureError(
             f"quadrature non-convergence for moment k={k} of {measure.label}"
         )
+    compiled.moments[k] = value
     return value
 
 

@@ -172,6 +172,15 @@ class TestRun:
             _a, overall, n_off_axis, _re, _im = row.split(",")
             assert overall == INCONCLUSIVE and n_off_axis == "0"
 
+    def test_counterexample_scan_rejects_one_rung_ladder(self, tmp_path):
+        # one rung gives no drift check; the scan must not swap in another ladder
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(make_config(tmp_path, command="counterexample-scan", degreeLadder=[30]))
+        )
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_compare_needs_sphere(self, tmp_path):
         density = {"kind": "density", "f": [1.0], "g": [0.0, 0.0, 1.0]}
         cfg = RunConfig.from_dict(

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotorzeros import measures
+from rotorzeros.laguerre import counterexample_measure
 from rotorzeros.measures import (
     FLOAT,
     RATIONAL,
@@ -170,6 +172,75 @@ class TestDimensionShift:
             4 * math.pi * np.array(base.coefficients),
             rtol=1e-12,
         )
+
+
+class TestCompiledDensity:
+    """The compiled scalar integrand keeps every bit of the numpy profile path."""
+
+    MEASURES = {
+        "gaussian": GAUSS,  # g with zero inner coefficients
+        "several-term-f": RadialMeasure.density([2.0, 0.5, 0.0, 1.5], [0.0, 1.0, -2.0, 1.0]),
+        "json-integers": RadialMeasure.from_json(
+            '{"kind": "density", "f": [3, 1], "g": [0, 2, 0, 1]}'
+        ),
+        "quartic-tail": RadialMeasure.density([1.0], [0.0, 0.0, 0.0, 0.0, 1.0]),
+        "quartic-well": counterexample_measure(0.75),
+    }
+
+    @staticmethod
+    def _quad_points(monkeypatch, measure, k):
+        """Every x at which integrate.quad evaluates the integrand of m_k."""
+        points = []
+        quad = measures.integrate.quad
+
+        def recording(func, *args, **kwargs):
+            def seen(x):
+                points.append(x)
+                return func(x)
+
+            return quad(seen, *args, **kwargs)
+
+        monkeypatch.setattr(measures.integrate, "quad", recording)
+        measures._compiled.cache_clear()
+        radial_moment(measure, k)
+        return points
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("k", [0, 3, 20, -0.5, 0.5, 29.5])
+    def test_integrand_matches_profile_on_quad_points(self, monkeypatch, name, k):
+        measure = self.MEASURES[name]
+        points = self._quad_points(monkeypatch, measure, k)
+        assert len(points) > 20
+        integrand = measures._compiled(measure).integrand(k)
+        got = [float(integrand(x)).hex() for x in points]
+        want = [float(2.0 * x ** (2 * k + 1) * measure.profile(x * x)).hex() for x in points]
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_scalar_profile_matches_at_edges(self, name):
+        measure = self.MEASURES[name]
+        tau = measures._compiled(measure).tau
+        points = [0.0, -0.0, 5e-324, 1e-300, 0.5, -1.5, 10.0, 15.0, 1e3, 1e200]
+        points += [math.inf, -math.inf, math.nan]
+        with np.errstate(all="ignore"):
+            got = [float(tau(s)).hex() for s in points]
+            want = [float(measure.profile(s)).hex() for s in points]
+        assert got == want
+
+    # m_k of the quartic well, as float.hex, recorded before the profile was compiled
+    PINNED = [
+        (-5.0, -0.5, "0x1.e918f2c105870p+10"),
+        (-0.25, 29.5, "0x1.44faa1ed2dd4fp+31"),
+        (0.75, 9.5, "0x1.21601aea319c2p+4"),
+        (2.0, 0.5, "0x1.0d389f228f92cp-2"),
+        (2.0, 59.5, "0x1.816115db0a50ep+67"),
+        (5.0, 59.5, "0x1.754c38bb454bfp+54"),
+    ]
+
+    @pytest.mark.parametrize("a, k, want", PINNED)
+    def test_scan_moments_pinned(self, a, k, want):
+        measures._compiled.cache_clear()
+        assert radial_moment(counterexample_measure(a), k).hex() == want
 
 
 def test_csv_export_shape():

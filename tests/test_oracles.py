@@ -126,3 +126,12 @@ class TestLaplaceDirect:
         for zeta in (-1.0, 0.5, 1.0):
             direct = laplace_direct(GAUSS, 2, zeta).value
             assert abs(v.evaluate(zeta) - direct) <= 1e-9 * abs(direct)
+
+    # quad meets the kinks of the interpolated profile and warns about roundoff
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_tabulated_profile_agrees_with_density(self):
+        grid = np.linspace(0.0, 12.0, 401)
+        tab = RadialMeasure.tabulated(list(zip(grid, np.exp(-(grid**2)))))
+        direct = laplace_direct(tab, 2, -1.0).value
+        # linear interpolation on a 0.03 grid: relative error about 2e-5
+        assert direct == pytest.approx(laplace_direct(GAUSS, 2, -1.0).value, rel=1e-4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from rotorzeros import measures
 from rotorzeros.measures import RadialMeasure, laplace_transform
 from rotorzeros.zeros import (
     INCONCLUSIVE,
@@ -16,6 +17,7 @@ from rotorzeros.zeros import (
     find_roots,
     newton_check,
     stabilize,
+    stabilize_chain,
     stabilize_series,
 )
 
@@ -140,6 +142,26 @@ class TestStabilize:
     def test_gamma_sum_disclaimer(self):
         report = stabilize(1, 2, 0.0, SPHERE, (40, 60))
         assert "tail" in report.notes
+
+    def test_rungs_share_density_moments(self, monkeypatch):
+        # every rung's transform is a prefix of the top rung's, so a cleared
+        # cache needs one quadrature per moment m_0 .. m_30, not 21 + 31
+        calls = []
+        quad = measures.integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(measures.integrate, "quad", counted)
+        measures._compiled.cache_clear()
+        phi4 = RadialMeasure.density([1.0], [0.0, 1.0, 1.0], label="phi4")
+        reports = stabilize_chain([2, 3], 2, 0.5, phi4, (20, 30))
+        assert len(calls) == 31
+        # verdicts and the stable root recorded before moments were shared
+        assert reports[2].overall == VERIFIED and reports[3].overall == INCONCLUSIVE
+        assert [z.real.hex() for z in reports[2].stable_roots()] == ["-0x1.17845d0ebd835p+4"]
+        assert not any(reports[3].stable)
 
 
 class TestSyntheticViolation:

@@ -24,7 +24,7 @@ from .measures import (
     validate_measure,
     wd_series,
 )
-from .oracles import OracleResult, laplace_direct, z_direct_circle, z_direct_mc
+from .oracles import OracleResult, laplace_direct, phi_modal, z_direct_circle
 from .polys import (
     FLOAT,
     GRAM_VARS,

@@ -3,7 +3,7 @@
 A run is described by a JSON config; every artifact CSV gets a metadata
 sidecar carrying the config hash, and a run-level ``report.json`` collects
 verdicts, timings, and versions.  Identical config + seed produces
-byte-identical CSV artifacts (single-stream mode).
+byte-identical CSV artifacts.
 
 Exit status: 0 on completion, 1 when any Violated verdict occurs inside a
 theorem-covered regime (even D, J > 0, certified measure), 2 on
@@ -31,7 +31,7 @@ from . import __version__
 from .geometry import self_test
 from .laguerre import counterexample_scan, violation_witnesses
 from .measures import MeasureError, RadialMeasure, laplace_transform, validate_measure
-from .oracles import z_direct_circle, z_direct_mc
+from .oracles import phi_modal
 from .polys import RATIONAL
 from .recursion import phi_chain, stable_coefficient_count
 from .zeros import VIOLATED, stabilize_chain
@@ -168,7 +168,10 @@ def _stabilize_task(args):
 
 
 def _oracle_table(cfg: RunConfig) -> str:
-    """Side-by-side phi vs direct-quadrature values (sphere measures only)."""
+    """Side-by-side phi vs the Funk-Hecke modal series of degree 2 M_top (spheres only).
+
+    The oracle's error estimate is its change from the sum of its degree-M_top prefix.
+    """
     if cfg.measure.kind != "sphere":
         raise ConfigError("oracle comparisons require a sphere measure")
     M_top = max(cfg.degree_ladder)
@@ -176,21 +179,16 @@ def _oracle_table(cfg: RunConfig) -> str:
     for D in cfg.Ds:
         for J in cfg.Js:
             chain = phi_chain(cfg.Ns, D, J, cfg.measure, M_top, cfg.backend)
+            modal = phi_modal(cfg.Ns, D, J, float(cfg.measure.radius), 2 * M_top)
             for N in sorted(chain):
                 for y in cfg.ys:
                     series_val = complex(chain[N].evaluate(-(y * y)))
-                    if D == 2 and 2 <= N <= 4:
-                        res = z_direct_circle(N, J, float(cfg.measure.radius), y, 512)
-                    elif N == 2 and D >= 4 and D % 2 == 0:
-                        res = z_direct_mc(
-                            2, D, J, float(cfg.measure.radius), y, seed=cfg.seed
-                        )
-                    else:
-                        continue
-                    rel = float(abs(series_val - res.value) / max(abs(res.value), 1e-300))
+                    oracle = complex(modal[N].evaluate(-(y * y)))
+                    error = abs(oracle - np.polyval(modal[N].coefficients[M_top::-1], -(y * y)))
+                    rel = float(abs(series_val - oracle) / max(abs(oracle), 1e-300))
                     lines.append(
                         f"{N},{D},{_fmt(J)},{_fmt(y)},{float(series_val.real)!r},"
-                        f"{float(res.value.real)!r},{float(res.estimated_error)!r},{rel!r},{res.method}"
+                        f"{float(oracle.real)!r},{float(error)!r},{rel!r},funk-hecke-modal"
                     )
     return "\n".join(lines) + "\n"
 
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="pipeline to run")
     parser.add_argument("--config", help="JSON config file (overrides other flags)")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed for stochastic oracles")
+    parser.add_argument("--seed", type=int, default=None, help="seed for geometry-selftest")
     parser.add_argument("--backend", choices=["float64", "rational"], default=None)
     parser.add_argument("--oracle", action="store_true", help="attach oracle comparisons")
     parser.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")

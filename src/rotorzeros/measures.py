@@ -80,15 +80,8 @@ class RadialMeasure:
         return cls(TABULATED, samples=samples, label=label or "tabulated")
 
     def profile(self, s):
-        """Evaluate tau(s) (density and tabulated kinds only)."""
-        if self.kind == DENSITY:
-            f = np.polynomial.polynomial.polyval(s, np.asarray(self.f_coeffs, float))
-            g = np.polynomial.polynomial.polyval(s, np.asarray(self.g_coeffs, float))
-            return f * np.exp(-g)
-        if self.kind == TABULATED:
-            grid = np.array(self.samples)
-            return np.interp(s, grid[:, 0], grid[:, 1], left=0.0, right=0.0)
-        raise MeasureError("sphere profile is a distribution, not a function")
+        """Evaluate tau(s) at a float or an array (density and tabulated kinds only)."""
+        return _compiled(self).tau(s)
 
     def to_json(self):
         data = {"kind": self.kind, "label": self.label}
@@ -374,10 +367,10 @@ def _horner(coeffs):
 
 
 def _density_tau(measure: RadialMeasure):
-    """tau = f exp(-g) for a Python float s, equal to measure.profile(s) bit for bit.
+    """tau = f exp(-g) for a float or a float array, with polyval's bits.
 
-    Horner in Python floats in polyval's order, then np.exp, without the
-    array set-up that costs polyval microseconds per scalar call.
+    Horner in polyval's order, then np.exp, without the array set-up that
+    costs polyval microseconds per scalar call.
     """
     f = _horner([float(c) for c in measure.f_coeffs])
     g = _horner([float(c) for c in measure.g_coeffs])
@@ -390,17 +383,22 @@ def _density_tau(measure: RadialMeasure):
 
 
 class _Profile:
-    """A measure's profile compiled for scalar calls, with what it has computed.
+    """A measure's profile compiled once, with what it has computed.
 
-    ``tau`` is the scalar profile (compiled for a density, the measure's own
-    for a tabulated profile); ``moments`` maps k to m_k; ``probes`` holds the
-    tail cutoff's probe grids with the profile on them, which do not depend
-    on k.
+    ``tau`` is the profile, for floats and arrays alike; ``moments`` maps k
+    to m_k; ``probes`` holds the tail cutoff's probe grids with the profile
+    on them, which do not depend on k.
     """
 
     def __init__(self, measure: RadialMeasure):
+        if measure.kind not in (DENSITY, TABULATED):
+            raise MeasureError("sphere profile is a distribution, not a function")
         self.measure = measure
-        self.tau = _density_tau(measure) if measure.kind == DENSITY else measure.profile
+        if measure.kind == DENSITY:
+            self.tau = _density_tau(measure)
+        else:  # linear between the samples, 0 outside them; the arrays are built once
+            s, t = np.array(measure.samples).T
+            self.tau = functools.partial(np.interp, xp=s, fp=t, left=0.0, right=0.0)
         self.moments = {}
         self.probes = []
 

@@ -1,13 +1,13 @@
-"""Direct-integration oracles for small chains.
+"""Oracles for small chains and single-spin transforms.
 
 These evaluate the partition integral and the single-spin transform by
-routes fully independent of the series recursion: tensor trapezoid over
-circle angles at D = 2 (spectrally accurate for periodic analytic
-integrands), seeded Monte Carlo over spheres at higher D, and radial
-quadrature of the summed kernel.  The sphere-delta convention is pinned
-by mass = pi^(D/2) r^(D/2-1) / Gamma(D/2): each sphere integral is
-(1/2) r^(D/2-1) times the surface integral over the unit sphere with
-points sqrt(r) * omega.
+routes independent of the series recursion: tensor trapezoid over circle
+angles at D = 2 (spectrally accurate for periodic analytic integrands),
+the Funk-Hecke reduction of the sphere chain to one Jacobi matrix at any D
+(exact in every coefficient), and radial quadrature of the summed kernel.
+The sphere-delta convention is pinned by mass = pi^(D/2) r^(D/2-1) /
+Gamma(D/2): each sphere integral is (1/2) r^(D/2-1) times the surface
+integral over the unit sphere with points sqrt(r) * omega.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import RadialMeasure, MeasureError
+from .measures import LaplaceSeries, MeasureError, RadialMeasure
 
 ANGULAR_GRID = "angular-grid"
-MONTE_CARLO = "monte-carlo"
 RADIAL_QUADRATURE = "radial-quadrature"
 
 W_TERM_CAP = 2000
@@ -34,10 +33,6 @@ class OracleResult:
     method: str
     samples: int
 
-    def agrees_with(self, other_value, rel_tol):
-        ref = max(abs(self.value), 1e-300)
-        return abs(self.value - other_value) / ref <= rel_tol
-
     def to_json(self):
         return json.dumps(
             {
@@ -47,15 +42,6 @@ class OracleResult:
                 "samples": self.samples,
             }
         )
-
-
-def _check_circle_args(N, r, nodes):
-    if not 2 <= N <= 4:
-        raise ValueError(f"direct circle oracle supports N in 2..4, got {N}")
-    if r <= 0:
-        raise ValueError("sphere parameter r must be positive")
-    if nodes < 64 or nodes & (nodes - 1):
-        raise ValueError("nodes must be a power of 2, at least 64")
 
 
 def _z_circle_value(N, J, r, y, nodes):
@@ -77,7 +63,12 @@ def z_direct_circle(N, J, r, y, nodes=512) -> OracleResult:
     products on the angular grid.  The error estimate compares against
     the half-resolution grid.
     """
-    _check_circle_args(N, r, nodes)
+    if not 2 <= N <= 4:
+        raise ValueError(f"direct circle oracle supports N in 2..4, got {N}")
+    if r <= 0:
+        raise ValueError("sphere parameter r must be positive")
+    if nodes < 64 or nodes & (nodes - 1):
+        raise ValueError("nodes must be a power of 2, at least 64")
     value = _z_circle_value(N, J, r, y, nodes)
     coarse = _z_circle_value(N, J, r, y, nodes // 2)
     err = abs(value - coarse)
@@ -89,38 +80,50 @@ def sphere_mass(D, r):
     return math.pi ** (D / 2) * r ** (D / 2 - 1) / math.gamma(D / 2)
 
 
-def uniform_sphere(rng, n, D):
-    """Uniform points on the unit sphere in R^D via normalized Gaussians."""
-    g = rng.standard_normal((n, D))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+def phi_modal(Ns, D, J, r, M):
+    """phi_N for N in Ns of the sphere chain: a_0..a_M, exact up to rounding.
 
-
-def z_direct_mc(N, D, J, r, y, samples=1_000_000, seed=0) -> OracleResult:
-    """Monte Carlo Z_2(i y e1) for even D >= 4 (single seeded stream).
-
-    Restricted to N = 2: the variance at longer chains makes desk-scale
-    sample counts dishonest.  Deterministic for a given seed.
+    Funk-Hecke reduction (H. E. Stanley, Phys. Rev. 179, 570 (1969)): in the
+    orthonormal polynomials of t = omega.e1 for the weight (1-t^2)^(lam-1/2),
+    lam = (D-2)/2, multiplication by t is the Jacobi matrix T (zero diagonal,
+    off-diagonal sqrt(beta_l)), and exp(kappa omega.omega'), kappa = J r, is
+    diag(mu), mu_l = Gamma(lam+1) (2/kappa)^lam I_(l+lam)(kappa) summed as a
+    power series.  With x = z sqrt(r) and m the sphere mass, a_n = m^N r^n
+    [x^(2n)] e0' (e^(xT) diag mu)^(N-1) e^(xT) e0.  A path of at most 2M steps
+    from e0 back to e0 never passes l = M, so M+1 basis functions and 2M+1
+    orders in x lose nothing.
     """
-    if N != 2:
-        raise ValueError("Monte Carlo oracle is restricted to N = 2")
-    if D < 4 or D % 2:
-        raise ValueError("Monte Carlo oracle expects even D >= 4")
-    if samples < 10**5:
-        raise ValueError("at least 1e5 samples required for a meaningful error bar")
-    rng = np.random.default_rng(seed)
-    u1 = uniform_sphere(rng, samples, D)
-    u2 = uniform_sphere(rng, samples, D)
-    sq = math.sqrt(r)
-    vals = np.exp(
-        1j * y * sq * (u1[:, 0] + u2[:, 0]) + J * r * (u1 * u2).sum(axis=1)
-    )
-    mass = sphere_mass(D, r)
-    mean = complex(vals.mean())
-    stderr = (
-        math.hypot(float(vals.real.std(ddof=1)), float(vals.imag.std(ddof=1)))
-        / math.sqrt(samples)
-    )
-    return OracleResult(mass**2 * mean, mass**2 * stderr, MONTE_CARLO, samples)
+    Ns = sorted({int(n) for n in Ns})
+    if not Ns or Ns[0] < 1 or D < 1 or int(D) != D or not r > 0:
+        raise ValueError(f"need N >= 1, an integer D >= 1 and r > 0, got {Ns}, {D}, {r}")
+    lam, h, K = (D - 2) / 2, J * r / 2, 2 * M + 1
+    ls = np.arange(2, M + 1)
+    beta = np.r_[1 / (2 + 2 * lam), ls * (ls + 2 * lam - 1) / (4 * (ls + lam) * (ls + lam - 1))]
+    s = np.sqrt(beta[:M])[:, None]  # s[l-1] couples l-1 and l; D = 1 closes at {1, t}
+    mu, lead = [], 1.0  # lead: the k = 0 term Gamma(lam+1) h^l / Gamma(l+lam+1)
+    for l in range(M + 1):
+        lead = term = total = lead * h / (l + lam) if l else 1.0
+        k = 0
+        while term and abs(term) > 1e-17 * abs(total):
+            k += 1
+            term *= h * h / (k * (k + l + lam))
+            total += term
+        mu.append([total])
+    u, out = np.zeros((M + 1, K)), {}
+    u[0, 0] = 1.0
+    for N in range(1, Ns[-1] + 1):
+        term = u = u * mu if N > 1 else u
+        for j in range(1, K):  # add (xT)^j / j! of the input; column c of term is order c + j
+            prev, term = term[:, :-1] / j, np.zeros((M + 1, K - j))
+            term[1:] += s * prev[:-1]
+            term[:-1] += s * prev[1:]
+            u[:, j:] += term
+        if N in Ns:
+            a = sphere_mass(D, r) ** N * r ** np.arange(M + 1) * u[0, ::2]
+            out[N] = LaplaceSeries(
+                tuple(a.tolist()), int(D), M, f"sphere(r={r})", chain_length=N, coupling=J
+            )
+    return out
 
 
 def w_kernel_value(D, zeta, r):
@@ -155,14 +158,15 @@ def laplace_direct(measure: RadialMeasure, D, zeta) -> OracleResult:
         return OracleResult(complex(val), abs(val) * 1e-15, RADIAL_QUADRATURE, 1)
     from scipy import integrate
 
-    from .measures import _tail_cutoff
+    from .measures import _compiled, _tail_cutoff
 
     R = _tail_cutoff(measure, max(D / 2 - 1, 0))
+    tau = _compiled(measure).tau
 
     def integrand(x):
         # substitution r = x^2; the kernel carries the radial powers, which
         # with the Jacobian 2x stays smooth at 0 also for odd D
-        return 2.0 * x * w_kernel_value(D, zeta, x * x) * measure.profile(x * x)
+        return 2.0 * x * w_kernel_value(D, zeta, x * x) * tau(x * x)
 
     value, err = integrate.quad(
         integrand, 0.0, math.sqrt(R), epsabs=0.0, epsrel=1e-12, limit=400

@@ -26,7 +26,7 @@ from rotorzeros.geometry import (
 )
 from rotorzeros.laguerre import counterexample_scan, violation_witnesses
 from rotorzeros.measures import RATIONAL, RadialMeasure, laplace_transform, wd_series
-from rotorzeros.oracles import z_direct_circle, z_direct_mc
+from rotorzeros.oracles import phi_modal, z_direct_circle
 from rotorzeros.polys import (
     GRAM_VARS,
     PAIR_VARS,
@@ -99,14 +99,21 @@ def test_criterion_3_oracle_equivalence():
             oracle = z_direct_circle(N, 0.5, 1.0, y, 512)
             rel = abs(chain[N].evaluate(-(y * y)) - oracle.value) / abs(oracle.value)
             worst_circle = max(worst_circle, rel)
-    series4 = phi(2, 4, 0.5, SPHERE, 40)
-    mc = z_direct_mc(2, 4, 0.5, 1.0, 1.0, samples=10**6, seed=2024)
-    mc_dev = abs(series4.evaluate(-1.0) - mc.value) / mc.estimated_error
-    ok = worst_circle <= 1e-6 and mc_dev <= 3.0
+    worst_modal = 0.0
+    for D in (2, 4, 6):
+        chain = phi_chain([2, 3, 4, 5], D, 0.5, SPHERE, 40)
+        modal = phi_modal([2, 3, 4, 5], D, 0.5, 1.0, 80)
+        for N in (2, 3, 4, 5):
+            for y in (0.5, 1.0, 2.0):
+                want = modal[N].evaluate(-(y * y))
+                rel = abs(chain[N].evaluate(-(y * y)) - want) / abs(want)
+                worst_modal = max(worst_modal, rel)
+    ok = worst_circle <= 1e-6 and worst_modal <= 1e-10
     report(
         3,
         ok,
-        f"circle worst rel {worst_circle:.2e} (tol 1e-6); MC deviation {mc_dev:.2f} sigma (tol 3)",
+        f"circle worst rel {worst_circle:.2e} (tol 1e-6); "
+        f"Funk-Hecke modal worst rel {worst_modal:.2e} at D = 2, 4, 6 (tol 1e-10)",
     )
 
 

@@ -108,7 +108,6 @@ class TestRun:
         assert sidecar["N"] == 2 and sidecar["stable_through"] >= 10
 
     def test_oracle_compare(self, tmp_path):
-        # D=4 exercises the Monte Carlo column path as well
         cfg = RunConfig.from_dict(
             make_config(tmp_path, command="oracle-compare", N=[2], D=[2, 4], y=[0.5, 1.0])
         )
@@ -116,9 +115,23 @@ class TestRun:
         rows = (tmp_path / "out" / "oracle_compare.csv").read_text().strip().splitlines()
         assert len(rows) == 5
         rels = [float(r.split(",")[7]) for r in rows[1:]]
-        assert all(rel < 1e-2 for rel in rels)
-        circle = [float(r.split(",")[7]) for r in rows[1:] if "angular" in r]
-        assert all(rel < 1e-6 for rel in circle)
+        assert all(rel < 1e-10 for rel in rels)
+        assert all(r.endswith(",funk-hecke-modal") for r in rows[1:])
+
+    def test_oracle_compare_covers_every_sphere_row(self, tmp_path):
+        # odd D, D = 1 and N > 2 at D >= 4 all get a row, none is skipped
+        cfg = RunConfig.from_dict(
+            make_config(tmp_path, command="oracle-compare", N=[2, 3, 5], D=[1, 3, 4, 6])
+        )
+        assert run(cfg) == 0
+        rows = (tmp_path / "out" / "oracle_compare.csv").read_text().strip().splitlines()
+        assert rows[0] == "N,D,J,y,phi_value,oracle_value,oracle_error,rel_diff,method"
+        cells = [r.split(",") for r in rows[1:]]
+        seen = sorted((int(c[0]), int(c[1]), float(c[3])) for c in cells)
+        assert seen == sorted(
+            (N, D, y) for N in (2, 3, 5) for D in (1, 3, 4, 6) for y in (0.5, 1.0, 2.0)
+        )
+        assert all(float(c[7]) < 1e-10 for c in cells)
 
     def test_geometry_selftest(self, tmp_path):
         cfg = RunConfig.from_dict(make_config(tmp_path, command="geometry-selftest"))

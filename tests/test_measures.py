@@ -1,5 +1,6 @@
 """Tests for radial measures and Laplace transform series."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -241,6 +242,29 @@ class TestCompiledDensity:
     def test_scan_moments_pinned(self, a, k, want):
         measures._compiled.cache_clear()
         assert radial_moment(counterexample_measure(a), k).hex() == want
+
+    # sha256 of the profile's float.hex on the tail cutoff's first three probe
+    # grids, validate_measure's grid and edge values (as an array and one by
+    # one), for every density of the scan, recorded from polyval's profile
+    PROFILE_SHA256 = "baf96812601aeef85d105d30dd8e28f72177e668130336374396b5e8d2c8bf89"
+
+    def test_profile_pinned_on_scan_probe_grids(self):
+        edges = [0.0, -0.0, 5e-324, 1e-300, 0.5, -1.5, 1e3, 1e200, math.inf, -math.inf, math.nan]
+        grids = [
+            np.linspace(1e-9, 10.0, 400),
+            np.linspace(1e-9, 15.0, 600),
+            np.linspace(1e-9, 22.5, 600),
+            np.linspace(0.0, 20.0, 512),
+            np.array(edges),
+        ]
+        digest = hashlib.sha256()
+        with np.errstate(all="ignore"):
+            for a in (round(-5 + 0.25 * k, 2) for k in range(41)):
+                measure = counterexample_measure(a)
+                for grid in grids:
+                    digest.update(" ".join(float(v).hex() for v in measure.profile(grid)).encode())
+                digest.update(" ".join(float(measure.profile(s)).hex() for s in edges).encode())
+        assert digest.hexdigest() == self.PROFILE_SHA256
 
 
 def test_csv_export_shape():

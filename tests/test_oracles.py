@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from rotorzeros.measures import RadialMeasure, laplace_transform
+from rotorzeros.measures import RadialMeasure, laplace_transform, wd_series
 from rotorzeros.oracles import (
     laplace_direct,
+    phi_modal,
     sphere_mass,
-    uniform_sphere,
     w_kernel_value,
     z_direct_circle,
-    z_direct_mc,
 )
-from rotorzeros.recursion import phi
+from rotorzeros.recursion import phi, phi_chain
 
 SPHERE = RadialMeasure.sphere(1.0)
 GAUSS = RadialMeasure.density([1.0], [0.0, 0.0, 1.0], label="gaussian-in-s")
@@ -58,35 +57,60 @@ class TestCircleOracle:
             z_direct_circle(2, 0.5, 1.0, 1.0, nodes=100)
 
 
+class TestModalOracle:
+    """phi_modal: the Funk-Hecke reduction of the sphere chain to one Jacobi matrix."""
+
+    @staticmethod
+    def _worst_rel(got, want):
+        got, want = np.array(got), np.array(want)
+        return float(np.max(np.abs(got - want) / np.abs(want)))
+
+    @pytest.mark.parametrize("D, J, r", [(1, 0.5, 1.0), (3, -0.7, 2.0), (5, 1.0, 1.0), (4, -0.7, 1.0)])
+    def test_matches_recursion_prefix(self, D, J, r):
+        # odd D and J < 0 lie outside the theorem, not outside the recursion
+        chain = phi_chain([2, 3], D, J, RadialMeasure.sphere(r), 40)
+        modal = phi_modal([2, 3], D, J, r, 25)
+        for N in (2, 3):
+            assert modal[N].chain_length == N and modal[N].coupling == J
+            assert self._worst_rel(modal[N].coefficients, chain[N].coefficients[:26]) <= 1e-12
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4])
+    def test_zero_coupling_factorizes(self, D):
+        r, M = 1.5, 30
+        v = math.pi ** (D / 2) * np.array(wd_series(D, r, M).coefficients)
+        modal = phi_modal([1, 2, 3, 4], D, 0.0, r, M)
+        power = np.ones(1)
+        for N in (1, 2, 3, 4):
+            power = np.convolve(power, v)[: M + 1]
+            assert self._worst_rel(modal[N].coefficients, power) <= 1e-13
+
+    @pytest.mark.parametrize("J", [0.7, -0.7])
+    def test_d1_closed_form(self, J):
+        # D = 1: omega = +-1, so F = cosh k cosh^2 x + sinh k sinh^2 x, k = J r,
+        # whose x^(2n) coefficient is e^k 4^n / (2 (2n)!) for n >= 1
+        r, M = 2.0, 30
+        kappa, m = J * r, r**-0.5
+        want = [m**2 * math.cosh(kappa)]
+        want += [m**2 * r**n * math.exp(kappa) * 4**n / (2 * math.factorial(2 * n)) for n in range(1, M + 1)]
+        assert self._worst_rel(phi_modal([2], 1, J, r, M)[2].coefficients, want) <= 1e-13
+
+    @pytest.mark.parametrize("J", [0.5, -0.7])
+    def test_matches_circle_oracle(self, J):
+        modal = phi_modal([2, 3, 4], 2, J, 1.0, 60)
+        for N in (2, 3, 4):
+            for y in (0.5, 1.0, 2.0):
+                oracle = z_direct_circle(N, J, 1.0, y).value
+                assert abs(modal[N].evaluate(-(y * y)) - oracle) <= 1e-11 * abs(oracle)
+
+    def test_argument_validation(self):
+        for bad in (dict(Ns=[0]), dict(D=0), dict(D=2.5), dict(r=0.0)):
+            args = {"Ns": [2], "D": 2, "J": 0.5, "r": 1.0, "M": 10, **bad}
+            with pytest.raises(ValueError):
+                phi_modal(**args)
+
+
 class TestMonteCarloOracle:
-    def test_uncoupled_agreement(self):
-        v = laplace_transform(SPHERE, 4, 40)
-        res = z_direct_mc(2, 4, 0.0, 1.0, 1.0, samples=400_000, seed=2)
-        target = v.evaluate(-1.0).real ** 2
-        assert abs(res.value - target) <= 3 * res.estimated_error
-
-    def test_coupled_agreement_with_series(self):
-        series = phi(2, 4, 0.5, SPHERE, 40)
-        res = z_direct_mc(2, 4, 0.5, 1.0, 1.0, samples=400_000, seed=5)
-        assert abs(res.value - series.evaluate(-1.0)) <= 3 * res.estimated_error
-
-    def test_seeded_determinism(self):
-        a = z_direct_mc(2, 4, 0.5, 1.0, 1.0, samples=150_000, seed=9)
-        b = z_direct_mc(2, 4, 0.5, 1.0, 1.0, samples=150_000, seed=9)
-        assert a.value == b.value and a.estimated_error == b.estimated_error
-
-    def test_restrictions(self):
-        with pytest.raises(ValueError):
-            z_direct_mc(3, 4, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            z_direct_mc(2, 3, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            z_direct_mc(2, 4, 0.5, 1.0, 1.0, samples=10)
-
-    def test_uniform_sphere_normalization(self):
-        rng = np.random.default_rng(0)
-        pts = uniform_sphere(rng, 1000, 6)
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+    """Conventions shared by the oracles: sphere mass and JSON export."""
 
     def test_sphere_mass_matches_kernel(self):
         for D in (2, 4, 6):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
 import sys
@@ -25,7 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .geometry import self_test
@@ -321,14 +321,14 @@ def run(cfg: RunConfig) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (MeasureError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (MeasureError, RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
         # numeric failures surface in the summary, not as a crash
         errors.append(f"numeric failure: {exc}")
 
     if cfg.oracle and cfg.command != "oracle-compare" and cfg.measure.kind == "sphere":
         try:
             _write_artifact(outdir, "oracle_compare.csv", _oracle_table(cfg), cfg_hash)
-        except (MeasureError, ValueError, RuntimeError) as exc:
+        except (MeasureError, ValueError, RuntimeError, OverflowError) as exc:
             errors.append(f"oracle comparison failed: {exc}")
 
     if errors and status == 0:
@@ -344,7 +344,7 @@ def run(cfg: RunConfig) -> int:
         "versions": {
             "rotorzeros": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
         },
         "measure_certified_lee_yang": validation.certified_lee_yang,
         "exit_status": status,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .polys import FLOAT, RATIONAL, coerce_scalar
 
@@ -36,6 +35,29 @@ TAIL_DROP = 1e-16
 # scan point at M = 60).  A run works through one measure at a time, so a few
 # suffice; the scan over the quartic well's a never returns to an old point.
 COMPILED_PROFILES = 8
+
+
+def __getattr__(name):
+    """Import scipy.integrate on first use and bind it as ``integrate`` (PEP 562).
+
+    Only density and tabulated moments (and ``oracles.laplace_direct``)
+    integrate, so a sphere run never loads scipy.
+    """
+    global integrate
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import integrate
+
+    return integrate
+
+
+def _integrate():
+    """The module global ``integrate``, read at each call.
+
+    Whatever was assigned to ``measures.integrate`` (or patched onto it)
+    is what the quadratures use.
+    """
+    return globals().get("integrate") or __getattr__("integrate")
 
 
 class MeasureError(ValueError):
@@ -201,7 +223,7 @@ def validate_measure(measure: RadialMeasure) -> MeasureValidation:
             nonneg = bool(np.all(grid[:, 1] >= 0))
             checks.append(("profile nonnegative", nonneg, ""))
             if ascending:
-                val = integrate.simpson(np.exp(grid[:, 0]) * grid[:, 1], x=grid[:, 0])
+                val = _integrate().simpson(np.exp(grid[:, 0]) * grid[:, 1], x=grid[:, 0])
                 checks.append(
                     (
                         "exp-weighted integral finite at a=1",
@@ -461,12 +483,12 @@ def radial_moment(measure: RadialMeasure, k):
                 "tabulated profiles do not support D=1 (singular moment at s=0)"
             )
         grid = np.array(measure.samples)
-        return float(integrate.simpson(grid[:, 0] ** k * grid[:, 1], x=grid[:, 0]))
+        return float(_integrate().simpson(grid[:, 0] ** k * grid[:, 1], x=grid[:, 0]))
     compiled = _compiled(measure)
     if k in compiled.moments:
         return compiled.moments[k]
     R = _tail_cutoff(measure, max(k, 0))
-    value, err = integrate.quad(
+    value, err = _integrate().quad(
         compiled.integrand(k), 0.0, math.sqrt(R), epsabs=0.0, epsrel=QUAD_RTOL, limit=400
     )
     if not math.isfinite(value) or (value != 0 and err > 1e-7 * abs(value)):

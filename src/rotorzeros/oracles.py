@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures
 from .measures import LaplaceSeries, MeasureError, RadialMeasure
 
 ANGULAR_GRID = "angular-grid"
@@ -156,19 +157,15 @@ def laplace_direct(measure: RadialMeasure, D, zeta) -> OracleResult:
         r = float(measure.radius)
         val = math.pi ** (D / 2) * w_kernel_value(D, zeta, r)
         return OracleResult(complex(val), abs(val) * 1e-15, RADIAL_QUADRATURE, 1)
-    from scipy import integrate
-
-    from .measures import _compiled, _tail_cutoff
-
-    R = _tail_cutoff(measure, max(D / 2 - 1, 0))
-    tau = _compiled(measure).tau
+    R = measures._tail_cutoff(measure, max(D / 2 - 1, 0))
+    tau = measures._compiled(measure).tau
 
     def integrand(x):
         # substitution r = x^2; the kernel carries the radial powers, which
         # with the Jacobian 2x stays smooth at 0 also for odd D
         return 2.0 * x * w_kernel_value(D, zeta, x * x) * tau(x * x)
 
-    value, err = integrate.quad(
+    value, err = measures.integrate.quad(
         integrand, 0.0, math.sqrt(R), epsabs=0.0, epsrel=1e-12, limit=400
     )
     return OracleResult(

@@ -1,14 +1,17 @@
 """Tests for the command-line front end and its artifact contract."""
 
 import json
+import os
 import subprocess
 from fractions import Fraction
 
 import numpy as np
 import sys
+from pathlib import Path
 
 import pytest
 
+import rotorzeros
 from rotorzeros.cli import ConfigError, RunConfig, main, run
 from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
@@ -225,6 +228,23 @@ class TestRun:
         assert report["verdicts"] == []
         assert report["errors"] and report["exit_status"] == 3
 
+    def test_overflow_exits_3(self, tmp_path):
+        # sphere coefficients r^n / (4^n n!^2) pass the float range at r = 1e300;
+        # the OverflowError is recorded, in the run and in the oracle table,
+        # not a traceback with exit status 1
+        huge = {"kind": "sphere", "radius": 1e300}
+        cfg = RunConfig.from_dict(
+            make_config(tmp_path, measure=huge, degreeLadder=[10, 12], oracle=True)
+        )
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdicts"] == []
+        assert [e.split(":")[0] for e in report["errors"]] == [
+            "numeric failure",
+            "oracle comparison failed",
+        ]
+        assert report["exit_status"] == 3
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg1 = RunConfig.from_dict(
             make_config(tmp_path, outputDir=str(tmp_path / "a"))
@@ -280,3 +300,42 @@ class TestMainEntry:
         out2 = tmp_path / "override"
         assert main(["--config", str(cfg_path), "--out", str(out2), "--seed", "3"]) == 0
         assert (out2 / "report.json").exists()
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this rotorzeros; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorzeros.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+class TestLazyScipy:
+    """scipy loads only when a run integrates; sphere runs never do."""
+
+    def test_sphere_verify_never_imports_scipy(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, degreeLadder=[10, 12])))
+        out = _fresh_python(
+            "import sys\n"
+            "import rotorzeros.cli\n"
+            "print('scipy' in sys.modules)\n"
+            f"print(rotorzeros.cli.main(['--config', {str(cfg_path)!r}]))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        assert out.split() == ["False", "0", "False"]
+        import scipy
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["versions"]["scipy"] == scipy.__version__
+
+    def test_density_moment_imports_scipy_integrate(self):
+        out = _fresh_python(
+            "import sys\n"
+            "from rotorzeros import measures\n"
+            "print('scipy' in sys.modules)\n"
+            "measures.radial_moment(measures.RadialMeasure.density([1.0], [0.0, 0.0, 1.0]), 1)\n"
+            "print('scipy.integrate' in sys.modules, measures.integrate.__name__)\n"
+        )
+        assert out.split() == ["False", "True", "scipy.integrate"]

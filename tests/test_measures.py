@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,34 @@ class TestDimensionShift:
             4 * math.pi * np.array(base.coefficients),
             rtol=1e-12,
         )
+
+
+class TestLazyIntegrate:
+    def test_quadratures_read_measures_integrate_when_called(self, monkeypatch):
+        # a replacement assigned to measures.integrate (as a tracer's counting
+        # proxy is) must see every quadrature; a name bound at import would not
+        calls = []
+        real = measures.integrate
+
+        def counted(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return getattr(real, name)(*args, **kwargs)
+
+            return call
+
+        proxy = types.SimpleNamespace(quad=counted("quad"), simpson=counted("simpson"))
+        monkeypatch.setattr(measures, "integrate", proxy)
+        measures._compiled.cache_clear()
+        tab = RadialMeasure.tabulated([[0.1 * k, math.exp(-0.1 * k)] for k in range(30)])
+        assert radial_moment(GAUSS, 1) == pytest.approx(0.5, rel=1e-12)
+        assert validate_measure(tab).passed
+        assert radial_moment(tab, 1) > 0
+        assert calls == ["quad", "simpson", "simpson"]
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'quad'"):
+            measures.quad
 
 
 class TestCompiledDensity:

@@ -1,10 +1,12 @@
 """Tests for the direct-integration oracles."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from rotorzeros import measures
 from rotorzeros.measures import RadialMeasure, laplace_transform, wd_series
 from rotorzeros.oracles import (
     laplace_direct,
@@ -159,3 +161,18 @@ class TestLaplaceDirect:
         direct = laplace_direct(tab, 2, -1.0).value
         # linear interpolation on a 0.03 grid: relative error about 2e-5
         assert direct == pytest.approx(laplace_direct(GAUSS, 2, -1.0).value, rel=1e-4)
+        assert direct.real.hex() == "0x1.34ccab10c496ep+1"
+
+    def test_quadrature_uses_measures_integrate(self, monkeypatch):
+        # measures owns the (lazily imported) scipy.integrate; a replacement
+        # assigned to measures.integrate must see laplace_direct's quad too
+        calls = []
+        quad = measures.integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "integrate", types.SimpleNamespace(quad=counted))
+        assert laplace_direct(GAUSS, 2, 0.5).value.real > 0
+        assert len(calls) == 1

@@ -14,8 +14,11 @@ report's ``errors`` and no status 1 applies.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import importlib.metadata
+import itertools
 import json
 import os
 import sys
@@ -37,6 +40,9 @@ from .recursion import phi_chain, stable_coefficient_count
 from .zeros import VIOLATED, stabilize_chain
 
 SCHEMA_VERSION = 1
+
+# errors a run records as numeric failures (exit status 3) instead of raising
+NUMERIC_ERRORS = (MeasureError, RuntimeError, OverflowError, np.linalg.LinAlgError)
 
 COMMANDS = (
     "laplace",
@@ -158,13 +164,23 @@ def _fmt(x):
     return f"{float(x):g}"
 
 
-def _stabilize_task(args):
-    measure_json, N, D, J, ladder, axis_tol, drift_tol, backend = args
-    measure = RadialMeasure.from_json(measure_json, exact=backend == RATIONAL)
-    reports = stabilize_chain(
-        [N], D, J, measure, ladder, tol=axis_tol, drift_tol=drift_tol, field=backend
-    )
-    return (N, D, J, reports[N])
+@contextlib.contextmanager
+def _at(D, J):
+    """Name the (D, J) item in a numeric failure raised inside."""
+    try:
+        yield
+    except NUMERIC_ERRORS as exc:
+        raise RuntimeError(f"D={D}, J={_fmt(J)}: {exc}") from exc
+
+
+def _stabilize_task(cfg: RunConfig, D, J):
+    """Stabilized zeros of every N in cfg.Ns from one (D, J) chain, keyed (N, D, J)."""
+    with _at(D, J):
+        reports = stabilize_chain(
+            cfg.Ns, D, J, cfg.measure, cfg.degree_ladder,
+            tol=cfg.axis_tol, drift_tol=cfg.drift_tol, field=cfg.backend,
+        )
+    return {(N, D, J): rep for N, rep in reports.items()}
 
 
 def _oracle_table(cfg: RunConfig) -> str:
@@ -194,30 +210,15 @@ def _oracle_table(cfg: RunConfig) -> str:
 
 
 def _grid_reports(cfg: RunConfig):
-    """stabilize over the (N, D, J) grid, chain-sharing per (D, J)."""
-    tasks = []
-    for D in cfg.Ds:
-        for J in cfg.Js:
-            tasks.append((D, J))
-    results = {}
+    """stabilize over the (N, D, J) grid, one task per (D, J) sharing its chain across N."""
+    Ds, Js = zip(*itertools.product(cfg.Ds, cfg.Js))
+    task = functools.partial(_stabilize_task, cfg)
     if cfg.jobs > 1:
-        work = [
-            (cfg.measure.to_json(), N, D, J, cfg.degree_ladder, cfg.axis_tol, cfg.drift_tol, cfg.backend)
-            for D, J in tasks
-            for N in cfg.Ns
-        ]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for N, D, J, rep in pool.map(_stabilize_task, work):
-                results[(N, D, J)] = rep
+            parts = list(pool.map(task, Ds, Js))
     else:
-        for D, J in tasks:
-            reports = stabilize_chain(
-                cfg.Ns, D, J, cfg.measure, cfg.degree_ladder,
-                tol=cfg.axis_tol, drift_tol=cfg.drift_tol, field=cfg.backend,
-            )
-            for N, rep in reports.items():
-                results[(N, D, J)] = rep
-    return results
+        parts = list(map(task, Ds, Js))
+    return {key: rep for part in parts for key, rep in part.items()}
 
 
 def run(cfg: RunConfig) -> int:
@@ -242,22 +243,14 @@ def run(cfg: RunConfig) -> int:
                 v = laplace_transform(cfg.measure, D, M_top, cfg.backend)
                 _write_artifact(outdir, f"laplace_{D}.csv", v.to_csv(), cfg_hash)
         elif cfg.command == "phi":
-            ladder = sorted(set(cfg.degree_ladder))
-            M_low = ladder[-2] if len(ladder) >= 2 else None
+            rungs = sorted(set(cfg.degree_ladder))[-2:]  # the top rung and the one below, if any
             for D in cfg.Ds:
                 for J in cfg.Js:
-                    chain = phi_chain(cfg.Ns, D, J, cfg.measure, M_top, cfg.backend)
-                    lower = (
-                        phi_chain(cfg.Ns, D, J, cfg.measure, M_low, cfg.backend)
-                        if M_low is not None
-                        else None
-                    )
-                    for N, series in sorted(chain.items()):
-                        stable = (
-                            stable_coefficient_count(lower[N], series)
-                            if lower is not None
-                            else None
-                        )
+                    with _at(D, J):
+                        chains = [phi_chain(cfg.Ns, D, J, cfg.measure, M, cfg.backend) for M in rungs]
+                    for N, series in sorted(chains[-1].items()):
+                        lower = chains[0][N] if len(chains) == 2 else None
+                        stable = None if lower is None else stable_coefficient_count(lower, series)
                         name = f"phi_{N}_{D}_{_fmt(J)}.csv"
                         _write_artifact(
                             outdir,
@@ -321,7 +314,7 @@ def run(cfg: RunConfig) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (MeasureError, RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
+    except NUMERIC_ERRORS as exc:
         # numeric failures surface in the summary, not as a crash
         errors.append(f"numeric failure: {exc}")
 

@@ -329,20 +329,20 @@ def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
     return report
 
 
-def stabilize(N, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64", engine="fast"):
+def stabilize(N, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64"):
     """Run phi over the truncation ladder and report stabilized zeros."""
-    reports = stabilize_chain([N], D, J, measure, degree_ladder, tol, drift_tol, field, engine)
+    reports = stabilize_chain([N], D, J, measure, degree_ladder, tol, drift_tol, field)
     return reports[N]
 
 
-def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64", engine="fast"):
+def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64"):
     """stabilize() for several chain lengths sharing one recursion sweep."""
     degrees = sorted(set(int(m) for m in degree_ladder))
     if len(degrees) < 2:
         raise ValueError("degree ladder needs at least two stages")
     per_n = {n: {} for n in Ns}
     for M in degrees:
-        chain = phi_chain(Ns, D, J, measure, M, field, engine)
+        chain = phi_chain(Ns, D, J, measure, M, field)
         for n in Ns:
             per_n[n][M] = chain[n].float_coefficients()
     return {n: stabilize_series(per_n[n], tol=tol, drift_tol=drift_tol) for n in Ns}

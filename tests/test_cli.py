@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import rotorzeros
+from rotorzeros import cli
 from rotorzeros.cli import ConfigError, RunConfig, main, run
 from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
@@ -149,18 +150,51 @@ class TestRun:
         assert run(cfg) == 0
         assert (tmp_path / "out" / "oracle_compare.csv").exists()
 
+    @staticmethod
+    def _serial_and_pool_csvs(tmp_path, **grid):
+        csvs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(RunConfig.from_dict(make_config(tmp_path, **grid, jobs=jobs, outputDir=str(out)))) == 0
+            csvs.append({f.name: f.read_bytes() for f in out.glob("*.csv")})
+        return csvs
+
     def test_parallel_jobs_match_serial(self, tmp_path):
-        serial = RunConfig.from_dict(
-            make_config(tmp_path, N=[2, 3], outputDir=str(tmp_path / "s"))
+        serial, pool = self._serial_and_pool_csvs(tmp_path, N=[2, 3], D=[2, 4], J=[0.5, 0.7])
+        assert len(serial) == 8 and pool == serial
+
+    def test_parallel_rational_jobs_match_serial(self, tmp_path):
+        serial, pool = self._serial_and_pool_csvs(
+            tmp_path, N=[2, 3], D=[2, 4], J=[0.5, 0.7], degreeLadder=[10, 12], backend="rational",
+            measure={"kind": "sphere", "radius": 0.3},
         )
-        parallel = RunConfig.from_dict(
-            make_config(tmp_path, N=[2, 3], jobs=2, outputDir=str(tmp_path / "p"))
-        )
-        run(serial)
-        run(parallel)
-        a = (tmp_path / "s" / "zeros_3_2_0.5.csv").read_bytes()
-        b = (tmp_path / "p" / "zeros_3_2_0.5.csv").read_bytes()
-        assert a == b
+        assert len(serial) == 8 and pool == serial
+
+    def test_pool_maps_one_task_per_dimension_and_coupling(self, tmp_path, monkeypatch):
+        # every chain length of a (D, J) pair comes from one recursion, so
+        # the pool gets one task per pair, not one per (N, D, J)
+        mapped = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    mapped.append(args)
+                    yield fn(*args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        grid = dict(N=[2, 3, 5], D=[2, 4], J=[0.5, 0.7], jobs=2)
+        assert run(RunConfig.from_dict(make_config(tmp_path, **grid))) == 0
+        assert sorted(mapped) == [(2, 0.5), (2, 0.7), (4, 0.5), (4, 0.7)]
+        assert len(list((tmp_path / "out").glob("zeros_*.csv"))) == 12
 
     def test_counterexample_scan_command(self, tmp_path):
         cfg = RunConfig.from_dict(
@@ -244,6 +278,23 @@ class TestRun:
             "oracle comparison failed",
         ]
         assert report["exit_status"] == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_numeric_failure_names_its_item(self, tmp_path, jobs):
+        huge = {"kind": "sphere", "radius": 1e300}
+        cfg = RunConfig.from_dict(
+            make_config(tmp_path, measure=huge, D=[2, 4], J=[0.5], degreeLadder=[10, 12], jobs=jobs)
+        )
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
+
+    def test_phi_overflow_names_its_item(self, tmp_path):
+        cfg = RunConfig.from_dict(make_config(tmp_path, command="phi", J=[1e308], degreeLadder=[10, 12]))
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        [error] = report["errors"]
+        assert error.startswith("numeric failure: D=2, J=1e+308: ")
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg1 = RunConfig.from_dict(

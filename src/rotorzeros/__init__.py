@@ -42,7 +42,6 @@ from .polys import (
 )
 from .recursion import (
     delta_operator,
-    phi,
     phi_chain,
     phi_from_transform,
     psi_kernel,
@@ -55,7 +54,6 @@ from .zeros import (
     classify_lee_yang,
     find_roots,
     newton_check,
-    stabilize,
     stabilize_chain,
 )
 

@@ -127,6 +127,12 @@ class RunConfig:
             raise ConfigError("dimensions must be positive")
         if self.backend not in ("float64", "rational"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        backend_commands = ("laplace", "phi", "zeros", "verify", "sweep", "oracle-compare")
+        if self.backend == RATIONAL and self.command in backend_commands:
+            if self.measure.kind != "sphere":
+                raise ConfigError("rational backend supports sphere measures only")
+            if any(d % 2 for d in self.Ds):
+                raise ConfigError("rational backend requires even D (integer Gamma)")
 
     def config_hash(self):
         blob = json.dumps(

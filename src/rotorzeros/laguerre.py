@@ -11,7 +11,6 @@ with a certified negative when stable off-axis roots appear.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .measures import RadialMeasure, laplace_transform
@@ -20,6 +19,7 @@ from .zeros import (
     NEGATIVE_REAL,
     OFF_AXIS,
     VIOLATED,
+    _cluster,
     classify_lee_yang,
     find_roots,
     newton_check,
@@ -47,16 +47,6 @@ class ClassEvidence:
             return PASS
         return INCONCLUSIVE
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "subject": self.subject,
-                "depth": self.derivative_depth,
-                "checks": [list(c) for c in self.checks],
-                "overall": self.overall,
-            }
-        )
-
 
 def _differentiate(coeffs, order):
     c = list(coeffs)
@@ -74,19 +64,17 @@ def _trusted_roots(coeffs, window, drift_tol=1e-6):
     nearby windows and only the roots that agree ("trusted") are judged:
     the top roots of any truncation say nothing about the entire function.
     """
-    from rotorzeros.zeros import _cluster  # same-package helper
-
     nz = [n for n, c in enumerate(coeffs) if c != 0]
     if not nz or nz[-1] == 0:
         return [], True
     d_eff = nz[-1]
     w = min(window, len(coeffs) - 1)
     if w >= d_eff:
-        rs = find_roots(coeffs, d_eff, detailed=True)
+        rs = find_roots(coeffs, d_eff)
         clusters = _cluster(rs)
         return [(z, conv) for z, _mult, conv in clusters], True
-    rs_hi = find_roots(coeffs, w, detailed=True)
-    rs_lo = find_roots(coeffs, max(w - 4, 1), detailed=True)
+    rs_hi = find_roots(coeffs, w)
+    rs_lo = find_roots(coeffs, max(w - 4, 1))
     hi = _cluster(rs_hi)
     lo = _cluster(rs_lo)
     trusted = []

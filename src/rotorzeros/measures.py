@@ -285,14 +285,6 @@ class LaplaceSeries:
             truncation_degree=len(coeffs) - 1,
         )
 
-    def scale(self, factor, pi_shift=Fraction(0)):
-        factor = coerce_scalar(factor, self.field)
-        return replace(
-            self,
-            coefficients=tuple(c * factor for c in self.coefficients),
-            pi_power=self.pi_power + Fraction(pi_shift),
-        )
-
     def evaluate(self, zeta):
         total = 0.0 + 0.0j
         for c in reversed(self.float_coefficients()):

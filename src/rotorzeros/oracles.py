@@ -12,7 +12,6 @@ integral over the unit sphere with points sqrt(r) * omega.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,16 +32,6 @@ class OracleResult:
     estimated_error: float
     method: str
     samples: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "value": [self.value.real, self.value.imag],
-                "estimated_error": self.estimated_error,
-                "method": self.method,
-                "samples": self.samples,
-            }
-        )
 
 
 def _z_circle_value(N, J, r, y, nodes):

@@ -12,7 +12,6 @@ Two coefficient fields are supported: ``float64`` for production runs and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,9 +127,6 @@ class TruncatedPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), _zero(self.field))
 
     def is_zero(self):
         return not self.terms
@@ -283,40 +279,6 @@ class TruncatedPoly:
                     term *= val**e
             total += term
         return total
-
-    # -- serialization --------------------------------------------------
-
-    def to_json(self):
-        entries = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
-            if self.field == RATIONAL:
-                coeff = f"{c.numerator}/{c.denominator}"
-            else:
-                coeff = c
-            entries.append({"exp": list(exp), "coeff": coeff})
-        return json.dumps(
-            {
-                "vars": list(self.variables),
-                "maxDegree": self.max_degree,
-                "field": self.field,
-                "terms": entries,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        field_name = data.get("field", FLOAT)
-        terms = {}
-        for entry in data["terms"]:
-            coeff = entry["coeff"]
-            if isinstance(coeff, str):
-                num, den = coeff.split("/")
-                coeff = Fraction(int(num), int(den))
-            coeff = coerce_scalar(coeff, field_name)
-            terms[tuple(entry["exp"])] = coeff
-        return cls(tuple(data["vars"]), terms, data["maxDegree"], field_name)
 
 
 # ---------------------------------------------------------------------------

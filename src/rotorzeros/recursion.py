@@ -7,15 +7,13 @@ second and third vector slots.  The full-chain function of the squared
 field is then the diagonal phi_N(zeta) = Psi_N(zeta, zeta, zeta), so that
 Z_N(z) = phi_N(z^2).
 
-Two engines compute the same recursion:
-
-* ``operator`` applies the nilpotent differential-operator exponentials
-  literally on sparse polynomials (exact, any field; cost grows quickly
-  with the truncation degree because of the transient six-variable ring);
-* ``fast`` evaluates the identical step through a Taylor re-expansion of
-  Psi_{N-1} around the diagonal, which needs only univariate transforms.
-  Both agree exactly whenever no truncation pressure exists, and agree on
-  every stabilized coefficient otherwise (see tests).
+The chain driver takes one fast step per coefficient field: a Taylor
+re-expansion of Psi_{N-1} around the diagonal, which needs only univariate
+transforms, on dense float tensors or in exact integers.  The operator
+construction (``psi_two`` and ``psi_step``) applies the nilpotent
+differential-operator exponentials literally on sparse polynomials; it is
+the paper's construction and the exact reference the tests check the fast
+step against, term by term.
 """
 
 from __future__ import annotations
@@ -126,7 +124,7 @@ def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fast engine: the same step through diagonal Taylor data
+# The fast step: the same recursion through diagonal Taylor data
 # ---------------------------------------------------------------------------
 #
 # Integrating the new spin sigma exactly gives
@@ -250,7 +248,7 @@ def _taylor_data(P, M):
 
 
 def _advance_float(v_coeffs, P, J, D, M):
-    """One fast-engine step on dense float tensors P[a1, a2, a12]."""
+    """One fast step on dense float tensors P[a1, a2, a12]."""
     n1 = M + 1
     _, _, perm, C = _step_tables(M)
     Bdata = _taylor_data(P, M)
@@ -411,24 +409,15 @@ def _diag_from_tensor(P, M):
     return np.bincount(deg.ravel(), weights=P.ravel(), minlength=n1)[: n1]
 
 
-def _chain(v: LaplaceSeries, J, D, engine):
+def _chain(v: LaplaceSeries, J, D):
     """Grow the chain from the transform v one spin at a time.
 
-    Yields (kernel, diagonal) for N = 1, 2, 3, ...: Psi_N in the engine's
-    own form (a dense float tensor, or a pair-ring polynomial) and the M+1
-    coefficients of phi_N.  At N = 1 the kernel is the fast engine's seed
-    v(g11), and None for the operator engine, which starts at psi_two.
+    Yields (kernel, diagonal) for N = 1, 2, 3, ...: Psi_N in the field's
+    own form (a pair-ring polynomial of Fractions, or a dense float tensor)
+    and the M+1 coefficients of phi_N.  At N = 1 the kernel is v(g11).
     """
     M = v.truncation_degree
-    if engine == "operator":
-        kernel, diagonal = None, diagonal_series
-
-        def advance(psi):
-            return psi_two(v, v, J, D) if psi is None else psi_step(v, psi, J, D)
-
-    elif engine != "fast":
-        raise ValueError(f"unknown engine {engine!r}")
-    elif v.field == RATIONAL:
+    if v.field == RATIONAL:
         kernel, diagonal = _series_poly(v, "g11", PAIR_VARS), diagonal_series
 
         def advance(psi):
@@ -455,7 +444,7 @@ def _chain(v: LaplaceSeries, J, D, engine):
         yield kernel, tuple(diag) + (zero,) * (M + 1 - len(diag))
 
 
-def _chain_series(v: LaplaceSeries, Ns, J, D, engine):
+def _chain_series(v: LaplaceSeries, Ns, J, D):
     """phi_N for every chain length N in Ns, in ascending N, from one _chain."""
     Ns = list(Ns)
     if not Ns or any(n < 1 or int(n) != n for n in Ns):
@@ -463,7 +452,7 @@ def _chain_series(v: LaplaceSeries, Ns, J, D, engine):
     wanted = {int(n) for n in Ns}
     out = {}
     # zip stops on the range, so no step past the longest chain is taken
-    for N, (_, diag) in zip(range(1, max(wanted) + 1), _chain(v, J, D, engine)):
+    for N, (_, diag) in zip(range(1, max(wanted) + 1), _chain(v, J, D)):
         if N in wanted:
             out[N] = replace(
                 v,
@@ -476,15 +465,15 @@ def _chain_series(v: LaplaceSeries, Ns, J, D, engine):
     return out
 
 
-def phi_from_transform(v: LaplaceSeries, N, J, D, engine="fast") -> LaplaceSeries:
+def phi_from_transform(v: LaplaceSeries, N, J, D) -> LaplaceSeries:
     """Diagonal partition series built from an explicit transform series.
 
-    Useful for surrogate kernels; ``phi`` does the same for real measures.
+    Useful for surrogate kernels; ``phi_chain`` does the same for real measures.
     """
-    return _chain_series(v, [N], J, D, engine)[N]
+    return _chain_series(v, [N], J, D)[N]
 
 
-def psi_kernel(v: LaplaceSeries, N, J, D, engine="fast") -> TruncatedPoly:
+def psi_kernel(v: LaplaceSeries, N, J, D) -> TruncatedPoly:
     """The two-boundary kernel Psi_N itself, as a pair-ring polynomial.
 
     phi is its diagonal; the full kernel is useful for slot-sensitive
@@ -492,7 +481,7 @@ def psi_kernel(v: LaplaceSeries, N, J, D, engine="fast") -> TruncatedPoly:
     """
     if N < 2 or int(N) != N:
         raise ValueError("the two-boundary kernel needs at least two spins")
-    kernel, _ = next(itertools.islice(_chain(v, J, D, engine), int(N) - 1, None))
+    kernel, _ = next(itertools.islice(_chain(v, J, D), int(N) - 1, None))
     if isinstance(kernel, TruncatedPoly):
         return kernel
     terms = {
@@ -519,15 +508,10 @@ def stable_coefficient_count(lower: LaplaceSeries, upper: LaplaceSeries, rel_tol
     return count
 
 
-def phi(N, D, J, measure: RadialMeasure, M, field=FLOAT, engine="fast") -> LaplaceSeries:
-    """Partition series phi_{N,D} for a chain of N spins at coupling J.
+def phi_chain(Ns, D, J, measure: RadialMeasure, M, field=FLOAT):
+    """Partition series phi_{N,D} for every chain length N in Ns at coupling J.
 
-    N = 1 returns the single-spin transform; longer chains iterate the
-    transfer recursion at truncation degree M.  Z_N(z) = phi(z^2).
+    N = 1 is the single-spin transform; longer chains iterate the transfer
+    recursion at truncation degree M, in one sweep.  Z_N(z) = phi_N(z^2).
     """
-    return phi_chain([N], D, J, measure, M, field, engine)[N]
-
-
-def phi_chain(Ns, D, J, measure: RadialMeasure, M, field=FLOAT, engine="fast"):
-    """phi for every chain length in Ns, sharing one recursion sweep."""
-    return _chain_series(laplace_transform(measure, D, M, field), Ns, J, D, engine)
+    return _chain_series(laplace_transform(measure, D, M, field), Ns, J, D)

@@ -11,7 +11,6 @@ zeros from truncation artifacts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -66,13 +65,12 @@ class RootSet:
     window: int
 
 
-def find_roots(coefficients, window=None, detailed=False):
+def find_roots(coefficients, window=None) -> RootSet:
     """All roots of the degree-``window`` truncation of a series.
 
     Seeds come from the balanced companion matrix; an Aberth-Ehrlich sweep
     refines them until |p(root)| <= 1e-10 * max_k |c_k root^k| or the
     iteration cap is hit (such roots are flagged, not silently returned).
-    Returns a list of complex roots, or a RootSet when ``detailed``.
     """
     coeffs = np.asarray(
         [complex(c) for c in coefficients], dtype=complex
@@ -84,8 +82,7 @@ def find_roots(coefficients, window=None, detailed=False):
     coeffs = coeffs[: window + 1]
     nz = np.nonzero(np.abs(coeffs))[0]
     if nz.size == 0 or nz[-1] == 0:
-        empty = RootSet((), (), (), window)
-        return empty if detailed else []
+        return RootSet((), (), (), window)
     coeffs = coeffs[: nz[-1] + 1]
     if abs(coeffs[-1]) == 0:
         raise ValueError("leading reported coefficient is zero")
@@ -122,10 +119,9 @@ def find_roots(coefficients, window=None, detailed=False):
     roots = roots[order]
     converged = converged[order]
     residuals = np.abs(pv[order]) / scale[order]
-    result = RootSet(
+    return RootSet(
         tuple(roots.tolist()), tuple(bool(b) for b in converged), tuple(residuals.tolist()), window
     )
-    return result if detailed else list(result.roots)
 
 
 def newton_check(coefficients):
@@ -190,38 +186,6 @@ class ZeroReport:
 
     def stable_roots(self):
         return [r for r, s in zip(self.roots, self.stable) if s]
-
-    def reconstruct_coefficients(self, constant, count=4):
-        """Partial-product coefficients of Z(0) * prod (1 + gamma zeta).
-
-        Sums only the reported gammas, so it reproduces low-order series
-        coefficients only when the stable window captures every dominant
-        root (the infinite product's tail is otherwise missing).
-        """
-        coeffs = [complex(constant)]
-        for g in self.gammas:
-            coeffs = [
-                (coeffs[i] if i < len(coeffs) else 0)
-                + g * (coeffs[i - 1] if i >= 1 else 0)
-                for i in range(len(coeffs) + 1)
-            ]
-        return [c.real for c in coeffs[:count]]
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "roots": [[r.real, r.imag] for r in self.roots],
-                "multiplicities": list(self.multiplicities),
-                "verdicts": list(self.verdicts),
-                "stable": list(self.stable),
-                "gammas": list(self.gammas),
-                "gamma_sum": self.gamma_sum,
-                "truncation_degrees": list(self.truncation_degrees),
-                "drift_per_root": list(self.drift_per_root),
-                "overall": self.overall,
-                "notes": self.notes,
-            }
-        )
 
     def to_csv(self):
         lines = ["re_zeta,im_zeta,multiplicity,class,stable,gamma"]
@@ -297,7 +261,7 @@ def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
         raise ValueError("degree ladder needs at least two stages")
     clusters_by_degree = {}
     for M in degrees:
-        rs = find_roots(series_by_degree[M], detailed=True)
+        rs = find_roots(series_by_degree[M])
         clusters_by_degree[M] = _cluster(rs)
     top, prev = clusters_by_degree[degrees[-1]], clusters_by_degree[degrees[-2]]
     top = top[: default_window(degrees[-1])]
@@ -329,14 +293,12 @@ def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
     return report
 
 
-def stabilize(N, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64"):
-    """Run phi over the truncation ladder and report stabilized zeros."""
-    reports = stabilize_chain([N], D, J, measure, degree_ladder, tol, drift_tol, field)
-    return reports[N]
-
-
 def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64"):
-    """stabilize() for several chain lengths sharing one recursion sweep."""
+    """Run phi_chain over the truncation ladder and report stabilized zeros.
+
+    Returns {N: ZeroReport} for every chain length in Ns; all lengths share
+    one recursion sweep per rung.
+    """
     degrees = sorted(set(int(m) for m in degree_ladder))
     if len(degrees) < 2:
         raise ValueError("degree ladder needs at least two stages")

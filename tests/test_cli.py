@@ -345,6 +345,28 @@ class TestMainEntry:
         assert [(v["N"], v["J"]) for v in report["verdicts"]] == [(2, 0.5), (3, 0.5)]
         assert {v["overall"] for v in report["verdicts"]} <= {VERIFIED, VIOLATED, INCONCLUSIVE}
 
+    def test_rational_backend_rejects_odd_dimension(self, tmp_path):
+        # a configuration fault, not a numeric failure: exit 2 before any work
+        sphere = {"kind": "sphere", "radius": 0.3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                make_config(
+                    tmp_path, command="phi", backend="rational", measure=sphere,
+                    D=[3], J=[0.2], degreeLadder=[10, 12],
+                )
+            )
+        )
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_rational_backend_rejects_density(self, tmp_path):
+        density = {"kind": "density", "f": [1.0], "g": [0.0, 0.0, 1.0]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, backend="rational", measure=density)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(tmp_path)))

@@ -15,7 +15,7 @@ from rotorzeros.oracles import (
     w_kernel_value,
     z_direct_circle,
 )
-from rotorzeros.recursion import phi, phi_chain
+from rotorzeros.recursion import phi_chain
 
 SPHERE = RadialMeasure.sphere(1.0)
 GAUSS = RadialMeasure.density([1.0], [0.0, 0.0, 1.0], label="gaussian-in-s")
@@ -35,7 +35,7 @@ class TestCircleOracle:
             )
 
     def test_coupled_matches_series(self):
-        series = phi(2, 2, 0.5, SPHERE, 40)
+        series = phi_chain([2], 2, 0.5, SPHERE, 40)[2]
         res = z_direct_circle(2, 0.5, 1.0, 1.0)
         assert abs(series.evaluate(-1.0) - res.value) / abs(res.value) < 1e-6
 
@@ -112,18 +112,13 @@ class TestModalOracle:
 
 
 class TestMonteCarloOracle:
-    """Conventions shared by the oracles: sphere mass and JSON export."""
+    """Conventions shared by the oracles: the sphere mass."""
 
     def test_sphere_mass_matches_kernel(self):
         for D in (2, 4, 6):
             assert sphere_mass(D, 1.0) == pytest.approx(
                 math.pi ** (D / 2) * w_kernel_value(D, 0.0, 1.0), rel=1e-14
             )
-
-    def test_result_json_export(self):
-        res = z_direct_circle(2, 0.0, 1.0, 0.0)
-        data = res.to_json()
-        assert "angular-grid" in data and "estimated_error" in data
 
 
 class TestLaplaceDirect:

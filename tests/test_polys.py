@@ -182,18 +182,6 @@ class TestCommutation:
             assert left == right
 
 
-class TestSerialization:
-    def test_round_trip_rational(self):
-        rng = np.random.default_rng(17)
-        p = random_poly(GRAM_VARS, 6, rng, n_terms=9)
-        assert TruncatedPoly.from_json(p.to_json()) == p
-
-    def test_round_trip_float(self):
-        rng = np.random.default_rng(19)
-        p = random_poly(PAIR_VARS, 5, rng, field_name=FLOAT, n_terms=7)
-        assert TruncatedPoly.from_json(p.to_json()) == p
-
-
 def test_diagonal_series_sums_matching_degrees():
     p = poly({(1, 0, 0): 2, (0, 1, 0): 3, (0, 0, 1): 4, (2, 1, 0): 1})
     assert diagonal_series(p) == [0, 9, 0, 1]

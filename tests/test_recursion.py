@@ -1,4 +1,4 @@
-"""Tests for the transfer recursion: operators, psi builders, phi engines."""
+"""Tests for the transfer recursion: operators, psi builders, the fast step."""
 
 import hashlib
 import math
@@ -23,7 +23,6 @@ from rotorzeros.polys import (
 )
 from rotorzeros.recursion import (
     delta_operator,
-    phi,
     phi_chain,
     phi_from_transform,
     psi_kernel,
@@ -44,8 +43,22 @@ def surrogate(coeffs, D, field=RATIONAL, pad_to=None):
     return LaplaceSeries(tuple(coeffs), D, len(coeffs) - 1, "surrogate", field)
 
 
+def cubic_sphere_kernel(D):
+    """The first four coefficients of the D-sphere transform, padded to cap 12."""
+    full = laplace_transform(SPHERE, D, 12)
+    return LaplaceSeries(tuple(full.coefficients[:4]) + (0.0,) * 9, D, 12, "cubic kernel", FLOAT)
+
+
 def rational_univariate(coeffs, var, cap):
     return TruncatedPoly.from_univariate(coeffs, var, PAIR_VARS, cap, RATIONAL)
+
+
+def operator_kernel(v, N, J, D):
+    """Psi_N by the operator construction: psi_two, then N - 2 psi_steps."""
+    psi = psi_two(v, v, J, D)
+    for _ in range(N - 2):
+        psi = psi_step(v, psi, J, D)
+    return psi
 
 
 class TestDeltaOperator:
@@ -133,7 +146,7 @@ class TestPsiStep:
 
 
 class TestEngineEquivalence:
-    """The fast diagonal engine reproduces the operator pipeline exactly."""
+    """The fast step reproduces the operator construction exactly."""
 
     @pytest.mark.parametrize(
         "D,deg_v,N,J",
@@ -156,20 +169,29 @@ class TestEngineEquivalence:
         v = surrogate(coeffs, D, pad_to=M)
         if J is None:
             J = Fraction(int(rng.integers(1, 6)), 7)
-        op = phi_from_transform(v, N, J, D, engine="operator")
-        fast = phi_from_transform(v, N, J, D, engine="fast")
-        assert op.coefficients == fast.coefficients
+        op = diagonal_series(operator_kernel(v, N, J, D))
+        fast = phi_from_transform(v, N, J, D)
+        assert op == list(fast.coefficients)
 
     def test_float_engines_agree_near_machine(self):
         # a degree-3 kernel with cap 12 leaves no truncation pressure at N=3,
-        # so the two engines' truncation schemes coincide up to rounding
-        full = laplace_transform(SPHERE, 2, 12)
-        coeffs = tuple(full.coefficients[:4]) + (0.0,) * 9
-        v = LaplaceSeries(coeffs, 2, 12, "cubic kernel", FLOAT)
-        op = phi_from_transform(v, 3, 0.5, 2, engine="operator")
-        fast = phi_from_transform(v, 3, 0.5, 2, engine="fast")
-        a, b = op.float_coefficients(), fast.float_coefficients()
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
+        # so the two truncation schemes coincide up to rounding
+        v = cubic_sphere_kernel(2)
+        op = diagonal_series(operator_kernel(v, 3, 0.5, 2))
+        fast = phi_from_transform(v, 3, 0.5, 2).coefficients
+        assert np.allclose(op, fast[: len(op)], rtol=1e-12, atol=1e-300)
+        assert not any(fast[len(op) :])
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("J", [0.5, -0.7])
+    @pytest.mark.parametrize("D", [2, 3, 4])
+    def test_float_kernel_matches_term_by_term(self, D, J, N):
+        # a coefficient in the wrong slot leaves the diagonal sums unchanged
+        v = cubic_sphere_kernel(D)
+        op, fast = operator_kernel(v, N, J, D), psi_kernel(v, N, J, D)
+        assert sorted(fast.terms) == sorted(op.terms)
+        for key, c in op.terms.items():
+            assert abs(fast.terms[key] - c) < 1e-12 * abs(c)
 
     def test_full_kernel_tensors_match(self):
         # slot-sensitive: diagonal sums are blind to exponent swaps between
@@ -179,8 +201,8 @@ class TestEngineEquivalence:
         v = surrogate(coeffs, 4, pad_to=9)
         for J in (Fraction(3, 7), Fraction(-7, 3), Fraction(5)):
             for N in (2, 3):
-                op = psi_kernel(v, N, J, 4, engine="operator")
-                fast = psi_kernel(v, N, J, 4, engine="fast")
+                op = operator_kernel(v, N, J, 4)
+                fast = psi_kernel(v, N, J, 4)
                 assert op == fast
                 assert all(type(c) is Fraction for c in fast.terms.values())
 
@@ -189,8 +211,8 @@ class TestEngineEquivalence:
         # tail but their ladder-stable low coefficients coincide
         v12 = laplace_transform(SPHERE, 2, 12)
         v16 = laplace_transform(SPHERE, 2, 16)
-        op = phi_from_transform(v16, 3, 0.5, 2, engine="operator").float_coefficients()
-        fast = phi_from_transform(v12, 3, 0.5, 2, engine="fast").float_coefficients()
+        op = diagonal_series(operator_kernel(v16, 3, 0.5, 2))
+        fast = phi_from_transform(v12, 3, 0.5, 2).coefficients
         assert np.allclose(op[:6], fast[:6], rtol=1e-10)
 
 
@@ -225,7 +247,7 @@ class TestFloatStepPinned:
     @pytest.mark.parametrize("N,D,J", sorted(PINS))
     def test_kernel_bits(self, N, D, J):
         v = laplace_transform(SPHERE, D, 30)
-        psi = psi_kernel(v, N, J, D, engine="fast")
+        psi = psi_kernel(v, N, J, D)
         h = hashlib.sha256()
         for key in sorted(psi.terms):
             h.update(f"{key}:{psi.terms[key].hex()}\n".encode())
@@ -266,7 +288,7 @@ def test_float_step_working_set():
 
 class TestPhi:
     def test_single_spin_is_transform(self):
-        series = phi(1, 2, 0.7, SPHERE, 20)
+        series = phi_chain([1], 2, 0.7, SPHERE, 20)[1]
         v = laplace_transform(SPHERE, 2, 20)
         assert np.allclose(series.coefficients, v.coefficients, rtol=0)
 
@@ -274,7 +296,7 @@ class TestPhi:
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_zero_coupling_power_exact_rational(self, D, N):
         M = 25
-        series = phi(N, D, Fraction(0), SPHERE, M, field=RATIONAL)
+        series = phi_chain([N], D, Fraction(0), SPHERE, M, field=RATIONAL)[N]
         v = laplace_transform(SPHERE, D, M, RATIONAL)
         power = [Fraction(1)]
         for _ in range(N):
@@ -287,7 +309,7 @@ class TestPhi:
 
     def test_zero_coupling_power_float(self):
         M, N, D = 30, 4, 2
-        series = phi(N, D, 0.0, SPHERE, M)
+        series = phi_chain([N], D, 0.0, SPHERE, M)[N]
         v = laplace_transform(SPHERE, D, M).float_coefficients()
         power = np.array([1.0])
         for _ in range(N):
@@ -297,29 +319,28 @@ class TestPhi:
     def test_coefficients_nonnegative(self):
         gauss = RadialMeasure.density([1.0], [0.0, 0.0, 1.0])
         for measure, D in ((SPHERE, 2), (SPHERE, 4), (gauss, 2)):
-            series = phi(3, D, 0.8, measure, 30)
+            series = phi_chain([3], D, 0.8, measure, 30)[3]
             assert np.all(series.float_coefficients() >= 0)
 
     def test_stable_coefficient_count(self):
-        low = phi(3, 2, 0.5, SPHERE, 30)
-        high = phi(3, 2, 0.5, SPHERE, 40)
+        low = phi_chain([3], 2, 0.5, SPHERE, 30)[3]
+        high = phi_chain([3], 2, 0.5, SPHERE, 40)[3]
         k = stable_coefficient_count(low, high)
         assert k >= 20
         assert stable_coefficient_count(high, high) == 41
 
-    @pytest.mark.parametrize("engine", ["fast", "operator"])
     @pytest.mark.parametrize(
         "field,J", [(FLOAT, 0.3), (RATIONAL, Fraction(3, 10))], ids=[FLOAT, RATIONAL]
     )
-    def test_chain_matches_individual_runs(self, field, J, engine):
-        chain = phi_chain([4, 2], 2, J, SPHERE, 8, field, engine)
+    def test_chain_matches_individual_runs(self, field, J):
+        chain = phi_chain([4, 2], 2, J, SPHERE, 8, field)
         assert list(chain) == [2, 4]
         for N in (2, 4):
-            single = phi(N, 2, J, SPHERE, 8, field, engine)
+            single = phi_chain([N], 2, J, SPHERE, 8, field)[N]
             assert chain[N] == single
 
     def test_oracle_agreement_fast_engine(self):
-        series = phi(3, 2, 0.5, SPHERE, 40)
+        series = phi_chain([3], 2, 0.5, SPHERE, 40)[3]
         for y in (0.5, 1.0, 2.0):
             oracle = z_direct_circle(3, 0.5, 1.0, y, 512).value
             rel = abs(series.evaluate(-(y * y)) - oracle) / abs(oracle)

@@ -16,7 +16,6 @@ from rotorzeros.zeros import (
     classify_lee_yang,
     find_roots,
     newton_check,
-    stabilize,
     stabilize_chain,
     stabilize_series,
 )
@@ -26,24 +25,24 @@ SPHERE = RadialMeasure.sphere(1.0)
 
 class TestFindRoots:
     def test_linear(self):
-        assert find_roots([1, 1]) == [pytest.approx(-1)]
+        assert find_roots([1, 1]).roots == (pytest.approx(-1),)
 
     def test_factored_quadratic(self):
-        roots = sorted(find_roots([1, 3, 2]), key=lambda z: z.real)
+        roots = sorted(find_roots([1, 3, 2]).roots, key=lambda z: z.real)
         assert roots[0] == pytest.approx(-1)
         assert roots[1] == pytest.approx(-0.5)
 
     def test_bessel_reduction(self):
         # the D=2 sphere transform vanishes exactly at -j_{0,k}^2
         v = laplace_transform(SPHERE, 2, 60)
-        roots = find_roots(v.coefficients, window=60)
+        roots = find_roots(v.coefficients, window=60).roots
         targets = -jn_zeros(0, 3) ** 2
         for got, want in zip(roots[:3], targets):
             assert abs(got - want) / abs(want) < 1e-8
 
     def test_residual_bound_reported(self):
         v = laplace_transform(SPHERE, 2, 40)
-        rs = find_roots(v.coefficients, detailed=True)
+        rs = find_roots(v.coefficients)
         assert all(rs.converged)
         assert all(res <= 1e-10 for res in rs.residuals)
 
@@ -53,18 +52,18 @@ class TestFindRoots:
 
     def test_scaling_invariance(self):
         v = laplace_transform(SPHERE, 2, 40)
-        base = np.array(find_roots(v.coefficients, 20))
+        base = np.array(find_roots(v.coefficients, 20).roots)
         # a power-of-two factor rescales without any rounding: bitwise equal
-        exact = np.array(find_roots([2.0**19 * c for c in v.coefficients], 20))
+        exact = np.array(find_roots([2.0**19 * c for c in v.coefficients], 20).roots)
         assert np.array_equal(base, exact)
         # a general factor rounds each coefficient by half an ulp; the
         # well-conditioned (reliable-window) roots still stay put to 1e-12
-        scaled = np.array(find_roots([3.7e5 * c for c in v.coefficients], 20))
+        scaled = np.array(find_roots([3.7e5 * c for c in v.coefficients], 20).roots)
         d = np.abs(base - scaled) / (1 + np.abs(base))
         assert np.all(d[:3] <= 1e-12)
 
     def test_empty_for_constant(self):
-        assert find_roots([2.0, 0.0, 0.0]) == []
+        assert find_roots([2.0, 0.0, 0.0]).roots == ()
 
 
 class TestNewtonCheck:
@@ -112,7 +111,7 @@ class TestClassify:
 
 class TestStabilize:
     def test_bessel_ladder(self):
-        report = stabilize(1, 2, 0.0, SPHERE, (40, 60))
+        report = stabilize_chain([1], 2, 0.0, SPHERE, (40, 60))[1]
         assert report.overall == VERIFIED
         targets = -jn_zeros(0, 3) ** 2
         stable_roots = report.stable_roots()
@@ -122,13 +121,13 @@ class TestStabilize:
         assert report.gammas[0] == pytest.approx(1.0 / jn_zeros(0, 1)[0] ** 2, rel=1e-8)
 
     def test_squared_kernel_doubles_roots(self):
-        report = stabilize(2, 2, 0.0, SPHERE, (40, 60))
+        report = stabilize_chain([2], 2, 0.0, SPHERE, (40, 60))[2]
         assert report.overall == VERIFIED
         assert report.multiplicities[0] == 2
         assert report.roots[0].real == pytest.approx(-jn_zeros(0, 1)[0] ** 2, rel=1e-6)
 
     def test_theorem_regime_configuration(self):
-        report = stabilize(3, 4, 0.5, SPHERE, (30, 40, 50))
+        report = stabilize_chain([3], 4, 0.5, SPHERE, (30, 40, 50))[3]
         assert report.overall == VERIFIED
         assert sum(report.stable) >= 1
         for r, s in zip(report.roots, report.stable):
@@ -140,7 +139,7 @@ class TestStabilize:
             stabilize_series({40: [1.0, 1.0]})
 
     def test_gamma_sum_disclaimer(self):
-        report = stabilize(1, 2, 0.0, SPHERE, (40, 60))
+        report = stabilize_chain([1], 2, 0.0, SPHERE, (40, 60))[1]
         assert "tail" in report.notes
 
     def test_rungs_share_density_moments(self, monkeypatch):
@@ -183,14 +182,16 @@ class TestReconstruction:
         coeffs = [1 + 2 * J**2 * D, 2 + 4 * J, 1.0]
         report = stabilize_series({10: coeffs + [0] * 8, 12: coeffs + [0] * 10})
         assert report.overall == VERIFIED and all(report.stable)
-        rebuilt = report.reconstruct_coefficients(coeffs[0], count=3)
+        # Z(0) * prod (1 + gamma zeta) over the reported gammas
+        rebuilt = [coeffs[0]]
+        for g in report.gammas:
+            rebuilt = np.convolve(rebuilt, [1.0, g])
         for got, want in zip(rebuilt, coeffs):
             assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_report_serialization_round_trip_fields():
-    report = stabilize(1, 2, 0.0, SPHERE, (30, 40))
-    data = report.to_json()
-    assert "roots" in data and "LeeYang" in report.overall
+    report = stabilize_chain([1], 2, 0.0, SPHERE, (30, 40))[1]
+    assert "LeeYang" in report.overall
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("re_zeta")

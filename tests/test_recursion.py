@@ -244,14 +244,39 @@ class TestFloatStepPinned:
         (5, 4, 1.0): "dbb22f9a96801a03cbbaeddbf72be113",
     }
 
-    @pytest.mark.parametrize("N,D,J", sorted(PINS))
-    def test_kernel_bits(self, N, D, J):
-        v = laplace_transform(SPHERE, D, 30)
-        psi = psi_kernel(v, N, J, D)
+    # odd D with a negative coupling, and the certified phi^4 density, at
+    # M = 20 and N = 3: cases the verify grid does not cover
+    WIDE_PINS = {
+        ("sphere", 1, -0.7): "2975b7907eac98199a5cc698ad5229c1",
+        ("sphere", 3, -0.7): "2dbe5c275dc1e84a027338cd8fb05cea",
+        ("phi4", 2, 0.5): "6bbb42181e64021ab3cc8a52396cc68e",
+    }
+
+    @staticmethod
+    def digest(psi):
         h = hashlib.sha256()
         for key in sorted(psi.terms):
             h.update(f"{key}:{psi.terms[key].hex()}\n".encode())
-        assert h.hexdigest()[:32] == self.PINS[(N, D, J)]
+        return h.hexdigest()[:32]
+
+    @staticmethod
+    def wide_kernel(kind, D, J):
+        measure = SPHERE if kind == "sphere" else RadialMeasure.density([1], [0, 1, 0.5])
+        return psi_kernel(laplace_transform(measure, D, 20), 3, J, D)
+
+    @pytest.mark.parametrize("N,D,J", sorted(PINS))
+    def test_kernel_bits(self, N, D, J):
+        v = laplace_transform(SPHERE, D, 30)
+        assert self.digest(psi_kernel(v, N, J, D)) == self.PINS[(N, D, J)]
+
+    @pytest.mark.parametrize("kind,D,J", sorted(WIDE_PINS))
+    def test_wide_kernel_bits(self, kind, D, J):
+        assert self.digest(self.wide_kernel(kind, D, J)) == self.WIDE_PINS[(kind, D, J)]
+
+    @pytest.mark.parametrize("kind,D,J", sorted(WIDE_PINS))
+    def test_kernel_has_no_term_past_the_cap(self, kind, D, J):
+        psi = self.wide_kernel(kind, D, J)
+        assert psi.terms and max(sum(key) for key in psi.terms) <= 20
 
 
 def test_step_caches_stay_small():

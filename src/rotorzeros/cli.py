@@ -128,7 +128,9 @@ class RunConfig:
         if self.backend not in ("float64", "rational"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         backend_commands = ("laplace", "phi", "zeros", "verify", "sweep", "oracle-compare")
-        if self.backend == RATIONAL and self.command in backend_commands:
+        if self.backend == RATIONAL:
+            if self.command not in backend_commands:
+                raise ConfigError(f"{self.command} has no rational backend")
             if self.measure.kind != "sphere":
                 raise ConfigError("rational backend supports sphere measures only")
             if any(d % 2 for d in self.Ds):

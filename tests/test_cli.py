@@ -367,6 +367,14 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["counterexample-scan", "geometry-selftest"])
+    def test_rational_backend_rejects_float_only_commands(self, tmp_path, command):
+        # these commands have only a float path, which must not run in its place
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, backend="rational")))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(tmp_path)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import hashlib
 import importlib.metadata
@@ -217,12 +218,29 @@ def _oracle_table(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_blas_thread():
+    """Cap numpy's bundled OpenBLAS at one thread; a no-op where it is not found.
+
+    The float step's one BLAS call is too small to gain from threads, which
+    spin between the step's products and double a run's CPU time.
+    """
+    try:
+        # dlsym on the extension's handle also searches the libraries it loaded
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
 def _grid_reports(cfg: RunConfig):
     """stabilize over the (N, D, J) grid, one task per (D, J) sharing its chain across N."""
     Ds, Js = zip(*itertools.product(cfg.Ds, cfg.Js))
     task = functools.partial(_stabilize_task, cfg)
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_one_blas_thread) as pool:
             parts = list(pool.map(task, Ds, Js))
     else:
         parts = list(map(task, Ds, Js))
@@ -356,6 +374,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = argparse.ArgumentParser(
         prog="rotorzeros",
         description="Lee-Yang zero analysis for isotropic spin chains",

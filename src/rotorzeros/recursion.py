@@ -25,6 +25,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import LaplaceSeries, RadialMeasure, laplace_transform
 from .polys import (
@@ -143,28 +144,27 @@ def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
 # turns one chain extension into dense univariate algebra.  All weights are
 # positive, so for nonnegative profiles no cancellation occurs.
 #
-# The float step batches the final accumulation per (p, a) pair.  Output
-# cell out[i, a+n2, c] receives from (p, m = c+2a, a) the term
+# In the float step, output cell out[c, a+n2, i], the coefficient of
+# zeta12^c zeta2^(a+n2) zeta1^i, receives from (p, m = c+2a, a) the term
 #
-#   w * (V^(q)_p[i] * B[p, m, n2]),   q = m - a,
-#   w = m! 2^(m-2a) / (a! (m-2a)!) * J^(m+2p),
+#   w[c] * (vq[c, i] * B[p, m, n2]),   vq[c, i] = perm(q+i, q) V_p[q+i],
+#   q = c+a,   w[c] = m! 2^(m-2a) / (a! (m-2a)!) * J^(m+2p).
 #
-# and cells with different c never share a term.  So for fixed (p, a) one
-# gather-multiply-scatter covers every (c, i, n2) with c <= M-p-2a and
-# c+i+n2 <= M-a: about M^2/4 vectorised iterations per step instead of
-# M^3/12 scalar-loop ones.  Each term is formed with the same float
-# operations as in that loop, and every cell still sums its terms with p
-# ascending, then a ascending, so the output is bit-for-bit the loop's.
-# Do not reorder or fuse the sums over p and a: the CSV artifacts write
-# roots with repr, so a 1-ulp change shows.
+# V_p vanishes past degree M-p and B[p, m] past M-p-m, so every nonzero
+# term lies in the box c <= cmax = M-p-2a, n2 <= cmax, i <= M-p-a, and one
+# strided slab update per (p, a) covers it.  vq is a Hankel window of V_p,
+# padded to width 2(M+1); out is laid out [c, j, i], the longest axis last;
+# rows past the last c with w != 0 and B[p, m] != 0 are cut.  The box also
+# reaches cells with c+i+j > M, which a cached mask zeroes at the end.
+# Every cell with c+i+j <= M gets the terms of the scalar loop over that
+# simplex, each formed as w * (vq * b) and summed with p ascending, then a
+# ascending.  The box's other terms there are exact +-0 products, and a
+# cell starts at +0.0 and is never -0.0, so the output is bit-for-bit the
+# loop's.  Do not reorder or fuse the sums over p and a: the CSV artifacts
+# write roots with repr, so a 1-ulp change shows.
 #
-# Two lru caches hold read-only tables.  _step_tables(M) has the falling
-# factorials, factorials, perm(k+q, q) and m! 2^(m-2a) / (a! (m-2a)!),
-# each O(M^2) floats.  _triangle(L) has the simplex {c+i+n2 <= L} as
-# c-sorted int16 runs over n2 with per-c prefix ends; it depends only on
-# the level L = M - a, so ladder rungs share it.  Levels up to 50 hold
-# 0.8 MB.  Flat indices are formed per (p, a) in intp, because int16 index
-# arithmetic would overflow.
+# Two lru caches hold read-only tables: _step_tables(M) has F, fact, perm
+# and C, each O(M^2) floats, and _past_degree(M) the (M+1)^3 boolean mask.
 
 
 def _falling(n, k):
@@ -200,21 +200,10 @@ def _step_tables(M):
 
 
 @functools.lru_cache(maxsize=None)
-def _triangle(L):
-    """The simplex {c+i+n2 <= L} as runs over n2, sorted by c.
-
-    Column (c, i, len) of ``runs`` stands for n2 = 0..len-1, and ``n2``
-    lists those values run after run.  run_ends[c] and ends[c] count the
-    runs and the points whose first index is at most c.
-    """
-    r = np.arange(L + 1)
-    c, i = np.nonzero(np.add.outer(r, r) <= L)
-    lens = L + 1 - c - i
-    runs = np.array([c, i, lens], dtype=np.int16)
-    n2 = np.concatenate([np.arange(k) for k in lens]).astype(np.int16)
-    run_ends = np.cumsum(np.bincount(c, minlength=L + 1))
-    ends = np.cumsum(lens)[run_ends - 1]
-    return _frozen(runs, n2, run_ends, ends)
+def _past_degree(M):
+    """Mask of the cells of an (M+1)^3 tensor whose exponents sum past M."""
+    r = np.arange(M + 1)
+    return _frozen(np.add.outer(np.add.outer(r, r), r) > M)[0]
 
 
 def _taylor_data(P, M):
@@ -252,40 +241,30 @@ def _advance_float(v_coeffs, P, J, D, M):
     n1 = M + 1
     _, _, perm, C = _step_tables(M)
     Bdata = _taylor_data(P, M)
-    # Laplacian lifts V_p of the new spin's transform.
-    V = np.zeros((n1, n1))
-    V[0, :] = v_coeffs
+    # Laplacian lifts V_p of the new spin's transform, zero past column M.
+    V = np.zeros((n1, 2 * n1))
+    V[0, :n1] = v_coeffs
     for p in range(1, n1):
         n = np.arange(n1 - 1)
-        V[p, : n1 - 1] = 2.0 * (n + 1) * (D + 2.0 * n) * V[p - 1, 1:]
+        V[p, : n1 - 1] = 2.0 * (n + 1) * (D + 2.0 * n) * V[p - 1, 1:n1]
     Jpow = np.array([float(J) ** k for k in range(2 * M + 1)])
     live = Bdata.any(axis=2)
-    perm, Bflat = perm.ravel(), Bdata.reshape(n1, -1)
-    out = np.zeros(n1**3)  # laid out [c, i, j], so each run is contiguous
+    out = np.zeros((n1, n1, n1))  # laid out [c, j, i]
     for p in range(n1):
-        Vp, Bp = V[p], Bflat[p]
         for a in range((M - p) // 2 + 1):
-            # c = m - 2a runs over 0..cmax; terms with w = 0 or B[p, m] = 0 are skipped
+            # c = m - 2a runs over 0..cmax; blocks with no kept row are skipped
             cmax = M - p - 2 * a
             w = C[2 * a : M - p + 1, a] * Jpow[2 * a + 2 * p : M + p + 1]
-            keep = (w != 0.0) & live[p, 2 * a : M - p + 1]
-            if not keep.any():
+            keep = np.flatnonzero((w != 0.0) & live[p, 2 * a : M - p + 1])
+            if not keep.size:
                 continue
-            runs, n2s, run_ends, ends = _triangle(M - a)
-            c, i, lens = runs[:, : run_ends[cmax]].astype(np.intp)
-            n2 = n2s[: ends[cmax]].astype(np.intp)
-            if not keep.all():
-                on = keep[c]
-                n2 = n2[np.repeat(on, lens)]
-                c, i, lens = c[on], i[on], lens[on]
-            # out[i, a+n2, c] += w * (perm[q, i] * V[p, i+q] * B[p, m, n2]), with
-            # q = c+a and m = q+a; perm * V is formed per run, then repeated
-            q = c + a
-            vq = perm[q * n1 + i] * Vp[i + q]
-            b = Bp[np.repeat((q + a) * n1, lens) + n2]
-            term = np.repeat(w[c], lens) * (np.repeat(vq, lens) * b)
-            out[np.repeat((c * n1 + i) * n1 + a, lens) + n2] += term
-    return out.reshape(n1, n1, n1).transpose(1, 2, 0).copy()
+            nc, ni = keep[-1] + 1, M - p - a + 1
+            vq = perm[a : a + nc, :ni] * sliding_window_view(V[p], ni)[a : a + nc]
+            X = Bdata[p, 2 * a : 2 * a + nc, : cmax + 1, None] * vq[:, None, :]
+            X *= w[:nc, None, None]
+            out[:nc, a : a + cmax + 1, :ni] += X
+    out[_past_degree(M)] = 0.0
+    return out.transpose(2, 1, 0).copy()
 
 
 def _add_row(target, offset, coef, row):

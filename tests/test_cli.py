@@ -176,8 +176,9 @@ class TestRun:
         mapped = []
 
         class InlineExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 self.max_workers = max_workers
+                assert initializer is cli._one_blas_thread
 
             def __enter__(self):
                 return self
@@ -420,3 +421,53 @@ class TestLazyScipy:
             "print('scipy.integrate' in sys.modules, measures.integrate.__name__)\n"
         )
         assert out.split() == ["False", "True", "scipy.integrate"]
+
+
+# the thread count numpy's bundled OpenBLAS reports, or None where it is not found
+_BLAS_THREADS = """
+import ctypes
+import numpy as np
+def get_threads():
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype = ctypes.c_int
+    return get()
+"""
+
+
+class TestOneBlasThread:
+    """CLI runs and their pool workers use one OpenBLAS thread."""
+
+    @pytest.fixture(autouse=True)
+    def need_symbol(self):
+        if _fresh_python(_BLAS_THREADS + "print(get_threads())").split() == ["None"]:
+            pytest.skip("numpy's bundled OpenBLAS symbols are not found")
+
+    def test_main_caps_the_caller(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, degreeLadder=[10, 12])))
+        out = _fresh_python(
+            _BLAS_THREADS
+            + "import rotorzeros.cli\n"
+            + f"print(rotorzeros.cli.main(['--config', {str(cfg_path)!r}]))\n"
+            + "print(get_threads())\n"
+        )
+        assert out.split() == ["0", "1"]
+
+    def test_sweep_workers_are_capped(self, tmp_path):
+        # cli.run, not main, so the workers cannot inherit a cap from the caller
+        cfg = make_config(tmp_path, command="sweep", D=[2, 4], degreeLadder=[10, 12], jobs=2)
+        out = _fresh_python(
+            _BLAS_THREADS
+            + "from rotorzeros import cli\n"
+            + "class Probed(cli.ProcessPoolExecutor):\n"
+            + "    def map(self, fn, *iterables, **kwargs):\n"
+            + "        print(self.submit(get_threads).result())\n"
+            + "        return super().map(fn, *iterables, **kwargs)\n"
+            + "cli.ProcessPoolExecutor = Probed\n"
+            + f"print(cli.run(cli.RunConfig.from_dict({cfg!r})))\n"
+        )
+        assert out.split() == ["1", "0"]

@@ -280,17 +280,18 @@ class TestFloatStepPinned:
 
 
 def test_step_caches_stay_small():
-    # the weight tables are cached per degree cap and per triangle level;
-    # filling every level a cap of 50 can reach must stay under 4 MB
+    # the weight tables and the past-degree mask are cached per degree cap;
+    # caps of 30, 40 and 50 together must stay under 4 MB
     recursion._step_tables.cache_clear()
-    recursion._triangle.cache_clear()
+    recursion._past_degree.cache_clear()
     for M in (30, 40, 50):
         phi_chain([3], 4, 1.0, SPHERE, M)
     assert recursion._step_tables.cache_info().currsize == 3
+    assert recursion._past_degree.cache_info().currsize == 3
     held = [recursion._step_tables(M) for M in (30, 40, 50)]
-    held += [recursion._triangle(L) for L in range(51)]
+    held += [(recursion._past_degree(M),) for M in (30, 40, 50)]
     assert recursion._step_tables.cache_info().currsize == 3
-    assert recursion._triangle.cache_info().currsize == 51
+    assert recursion._past_degree.cache_info().currsize == 3
     assert sum(arr.nbytes for tables in held for arr in tables) < 4 * 2**20
 
 

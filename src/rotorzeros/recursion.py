@@ -163,8 +163,7 @@ def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
 # loop's.  Do not reorder or fuse the sums over p and a: the CSV artifacts
 # write roots with repr, so a 1-ulp change shows.
 #
-# Two lru caches hold read-only tables: _step_tables(M) has F, fact, perm
-# and C, each O(M^2) floats, and _past_degree(M) the (M+1)^3 boolean mask.
+# _step_tables(M) and _past_degree(M) cache read-only tables per degree cap.
 
 
 def _falling(n, k):
@@ -247,6 +246,7 @@ def _advance_float(v_coeffs, P, J, D, M):
     for p in range(1, n1):
         n = np.arange(n1 - 1)
         V[p, : n1 - 1] = 2.0 * (n + 1) * (D + 2.0 * n) * V[p - 1, 1:n1]
+    hankel = sliding_window_view(V, n1, axis=1)  # hankel[p, s, i] = V[p, s+i]
     Jpow = np.array([float(J) ** k for k in range(2 * M + 1)])
     live = Bdata.any(axis=2)
     out = np.zeros((n1, n1, n1))  # laid out [c, j, i]
@@ -259,7 +259,7 @@ def _advance_float(v_coeffs, P, J, D, M):
             if not keep.size:
                 continue
             nc, ni = keep[-1] + 1, M - p - a + 1
-            vq = perm[a : a + nc, :ni] * sliding_window_view(V[p], ni)[a : a + nc]
+            vq = perm[a : a + nc, :ni] * hankel[p, a : a + nc, :ni]
             X = Bdata[p, 2 * a : 2 * a + nc, : cmax + 1, None] * vq[:, None, :]
             X *= w[:nc, None, None]
             out[:nc, a : a + cmax + 1, :ni] += X

@@ -1,5 +1,7 @@
 """Tests for the command-line front end and its artifact contract."""
 
+import ctypes
+import inspect
 import json
 import os
 import subprocess
@@ -423,19 +425,18 @@ class TestLazyScipy:
         assert out.split() == ["False", "True", "scipy.integrate"]
 
 
-# the thread count numpy's bundled OpenBLAS reports, or None where it is not found
-_BLAS_THREADS = """
-import ctypes
-import numpy as np
-def get_threads():
+def blas_threads():
+    """The thread count numpy's bundled OpenBLAS reports, or None where it is not found."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
     except (AttributeError, OSError):
         return None
     get.restype = ctypes.c_int
     return get()
-"""
+
+
+# blas_threads for a fresh interpreter
+_BLAS_THREADS = "import ctypes\nimport numpy as np\n" + inspect.getsource(blas_threads)
 
 
 class TestOneBlasThread:
@@ -443,7 +444,7 @@ class TestOneBlasThread:
 
     @pytest.fixture(autouse=True)
     def need_symbol(self):
-        if _fresh_python(_BLAS_THREADS + "print(get_threads())").split() == ["None"]:
+        if blas_threads() is None:
             pytest.skip("numpy's bundled OpenBLAS symbols are not found")
 
     def test_main_caps_the_caller(self, tmp_path):
@@ -453,7 +454,7 @@ class TestOneBlasThread:
             _BLAS_THREADS
             + "import rotorzeros.cli\n"
             + f"print(rotorzeros.cli.main(['--config', {str(cfg_path)!r}]))\n"
-            + "print(get_threads())\n"
+            + "print(blas_threads())\n"
         )
         assert out.split() == ["0", "1"]
 
@@ -465,7 +466,7 @@ class TestOneBlasThread:
             + "from rotorzeros import cli\n"
             + "class Probed(cli.ProcessPoolExecutor):\n"
             + "    def map(self, fn, *iterables, **kwargs):\n"
-            + "        print(self.submit(get_threads).result())\n"
+            + "        print(self.submit(blas_threads).result())\n"
             + "        return super().map(fn, *iterables, **kwargs)\n"
             + "cli.ProcessPoolExecutor = Probed\n"
             + f"print(cli.run(cli.RunConfig.from_dict({cfg!r})))\n"

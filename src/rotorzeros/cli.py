@@ -21,6 +21,7 @@ import hashlib
 import importlib.metadata
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -122,6 +123,13 @@ class RunConfig:
             raise ConfigError("degreeLadder needs at least two stages")
         if any(b <= a for a, b in zip(self.degree_ladder, self.degree_ladder[1:])):
             raise ConfigError("degreeLadder must be strictly increasing")
+        if any(m < 0 for m in self.degree_ladder):
+            raise ConfigError("degreeLadder entries must be nonnegative")
+        if not all(math.isfinite(j) for j in self.Js):
+            raise ConfigError("couplings J must be finite")
+        for name, tol in (("axis", self.axis_tol), ("drift", self.drift_tol)):
+            if not 0 <= tol < 1:
+                raise ConfigError(f"tolerances.{name} must lie in [0, 1)")
         if any(n < 1 for n in self.Ns):
             raise ConfigError("chain lengths must be positive")
         if any(d < 1 for d in self.Ds):

@@ -3,15 +3,16 @@
 The Lee-Yang property of a chain says every zero of Z_N, viewed through
 zeta = z^2, sits on the negative real axis, so the series factors as
 Z_N(0) * prod_j (1 + gamma_j * zeta) with gamma_j > 0.  This module finds
-the zeros of degree-limited truncations (companion-matrix seeds refined by
-simultaneous Aberth-Ehrlich iteration), classifies them against an
-axis tolerance, and runs the truncation ladder that separates genuine
-zeros from truncation artifacts.
+the zeros of degree-limited truncations (companion-matrix eigenvalues, each
+flagged by a residual check), classifies them against an axis tolerance,
+and runs the truncation ladder that separates genuine zeros from
+truncation artifacts.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ DRIFT_TOL = 1e-8
 # from genuine root separations, so clusters are merged at 2e-5.
 CLUSTER_TOL = 2e-5
 AXIS_TOL = 1e-6
-ABERTH_CAP = 200
 
 NEGATIVE_REAL = "negative-real"
 OFF_AXIS = "off-axis"
@@ -57,20 +57,23 @@ def _residual_scale(coeffs, x):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots of one truncation with per-root convergence flags."""
+    """Roots of one truncation with per-root residual flags."""
 
     roots: tuple
     converged: tuple
     residuals: tuple
-    window: int
 
 
 def find_roots(coefficients, window=None) -> RootSet:
     """All roots of the degree-``window`` truncation of a series.
 
-    Seeds come from the balanced companion matrix; an Aberth-Ehrlich sweep
-    refines them until |p(root)| <= 1e-10 * max_k |c_k root^k| or the
-    iteration cap is hit (such roots are flagged, not silently returned).
+    The roots are the eigenvalues of the balanced companion matrix
+    (``np.roots``), which are backward stable.  A root counts as converged
+    when it is finite and |p(root)| <= 1e-10 * max_k |c_k root^k|; a root
+    that misses that bar is flagged, not silently returned.  A kept
+    coefficient that is not finite, or that is subnormal after the
+    power-of-two normalisation, raises ``RuntimeError`` naming its degree:
+    the companion matrix of such a series is not finite.
     """
     coeffs = np.asarray(
         [complex(c) for c in coefficients], dtype=complex
@@ -80,48 +83,31 @@ def find_roots(coefficients, window=None) -> RootSet:
     if window > len(coeffs) - 1:
         raise ValueError(f"window {window} exceeds series degree {len(coeffs) - 1}")
     coeffs = coeffs[: window + 1]
+    bad = ~np.isfinite(coeffs)
+    if bad.any():
+        raise RuntimeError(f"series coefficient of degree {np.argmax(bad)} is not finite")
     nz = np.nonzero(np.abs(coeffs))[0]
     if nz.size == 0 or nz[-1] == 0:
-        return RootSet((), (), (), window)
+        return RootSet((), (), ())
     coeffs = coeffs[: nz[-1] + 1]
-    if abs(coeffs[-1]) == 0:
-        raise ValueError("leading reported coefficient is zero")
     # zeros are scale-invariant; a power-of-two normalization is lossless,
     # so positive rescalings of the input cannot perturb well-conditioned roots
     coeffs = coeffs / 2.0 ** np.round(np.log2(np.max(np.abs(coeffs))))
-    deg = len(coeffs) - 1
+    tiny = (coeffs != 0) & (np.abs(coeffs) < sys.float_info.min)
+    if tiny.any():
+        raise RuntimeError(f"series underflowed: coefficient of degree {np.argmax(tiny)} is subnormal")
     roots = np.roots(coeffs[::-1])
-    dcoeffs = coeffs[1:] * np.arange(1, deg + 1)
-    converged = np.zeros(deg, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(ABERTH_CAP):
-            pv = _polyval_many(coeffs, roots)
-            scale = _residual_scale(coeffs, roots)
-            converged = np.abs(pv) <= RESIDUAL_TOL * scale
-            if converged.all():
-                break
-            dv = _polyval_many(dcoeffs, roots)
-            ratio = np.where(dv != 0, pv / np.where(dv == 0, 1.0, dv), 0.0)
-            diff = roots[:, None] - roots[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            denom = 1.0 - ratio * s
-            step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
-            step = np.where(np.isfinite(step), step, 0.0)
-            roots = roots - np.where(converged, 0.0, step)
         pv = _polyval_many(coeffs, roots)
         scale = _residual_scale(coeffs, roots)
-        converged = np.abs(pv) <= RESIDUAL_TOL * scale
-        converged &= np.isfinite(roots)
+        converged = (np.abs(pv) <= RESIDUAL_TOL * scale) & np.isfinite(roots)
     # canonical order: modulus, then real, then imaginary part (ties from
     # conjugate pairs would otherwise order unpredictably)
     order = np.lexsort((roots.imag, roots.real, np.abs(roots)))
     roots = roots[order]
     converged = converged[order]
     residuals = np.abs(pv[order]) / scale[order]
-    return RootSet(
-        tuple(roots.tolist()), tuple(bool(b) for b in converged), tuple(residuals.tolist()), window
-    )
+    return RootSet(tuple(roots.tolist()), tuple(bool(b) for b in converged), tuple(residuals.tolist()))
 
 
 def newton_check(coefficients):
@@ -195,7 +181,7 @@ class ZeroReport:
         return "\n".join(lines) + "\n"
 
 
-def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, truncation_degrees=(), drifts=None, multiplicities=None, notes=""):
+def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, truncation_degrees=(), drifts=None, multiplicities=None):
     """Classify roots and issue the overall Lee-Yang verdict.
 
     A root is negative-real only if |Im zeta| <= tol * (1 + |zeta|) and
@@ -223,10 +209,9 @@ def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, truncation_degrees=(), d
             gammas.extend([-1.0 / r.real] * mult)
     gammas.sort(reverse=True)
     gamma_sum = float(sum(gammas))
+    notes = ""
     if gammas:
-        notes = (notes + " " if notes else "") + (
-            "gamma_sum covers the stable window only; the entire function's tail is excluded."
-        )
+        notes = "gamma_sum covers the stable window only; the entire function's tail is excluded."
     return ZeroReport(
         tuple(roots),
         tuple(multiplicities),
@@ -249,21 +234,19 @@ def default_window(M):
 def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
     """Ladder protocol on precomputed series {M: coefficients}.
 
-    Solves the full truncation at every stage, clusters nearly-coincident
-    roots, and marks a top-ladder cluster stable when a cluster of equal
-    multiplicity in the previous stage sits within ``drift_tol`` relative
-    distance and the iteration converged.  Only the first
+    Solves the full truncation at the top two stages, clusters
+    nearly-coincident roots, and marks a top-stage cluster stable when a
+    cluster of equal multiplicity in the stage below sits within
+    ``drift_tol`` relative distance and every root of the cluster passed
+    its residual check.  Lower stages are only listed in
+    ``truncation_degrees``.  Only the first
     ``default_window(M)`` clusters are reported: beyond that the roots of
     a truncation carry no information about the entire function.
     """
     degrees = sorted(series_by_degree)
     if len(degrees) < 2:
         raise ValueError("degree ladder needs at least two stages")
-    clusters_by_degree = {}
-    for M in degrees:
-        rs = find_roots(series_by_degree[M])
-        clusters_by_degree[M] = _cluster(rs)
-    top, prev = clusters_by_degree[degrees[-1]], clusters_by_degree[degrees[-2]]
+    prev, top = [_cluster(find_roots(series_by_degree[M])) for M in degrees[-2:]]
     top = top[: default_window(degrees[-1])]
     roots, mults, stable, drifts = [], [], [], []
     used = set()

@@ -264,6 +264,20 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdicts"] == []
         assert report["errors"] and report["exit_status"] == 3
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: series underflowed: coefficient of degree 85 is subnormal"
+        ]
+
+    def test_underflow_wall_at_half_radius_exits_3(self, tmp_path):
+        # at r = 0.5 the degree-80 coefficient is 3.5e-310, the last one kept
+        half = {"kind": "sphere", "radius": 0.5}
+        cfg = RunConfig.from_dict(make_config(tmp_path, measure=half, N=[1], degreeLadder=[60, 80]))
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdicts"] == []
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: series underflowed: coefficient of degree 80 is subnormal"
+        ]
 
     def test_overflow_exits_3(self, tmp_path):
         # sphere coefficients r^n / (4^n n!^2) pass the float range at r = 1e300;
@@ -375,6 +389,44 @@ class TestMainEntry:
         # these commands have only a float path, which must not run in its place
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, backend="rational")))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, ladder", [("verify", [-1, 10]), ("laplace", [-2])])
+    def test_negative_ladder_rejected(self, tmp_path, command, ladder):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, degreeLadder=ladder)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("J", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coupling_rejected(self, tmp_path, J):
+        # json reads NaN and Infinity, so they arrive from a config file
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, J=[0.5, J])))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            # an infinite or huge drift makes every top-window root "stable",
+            # which reports LeeYangViolated at N = 3, D = 4, J = 1 and exits 1
+            {"drift": float("inf")},
+            {"drift": 1e300},
+            {"drift": float("nan")},
+            {"drift": -1e-8},
+            # axis >= 1 counts every root with Re zeta < 0 as on the axis
+            {"axis": 1.0},
+            {"axis": float("nan")},
+            {"axis": -1e-6},
+        ],
+    )
+    def test_tolerance_outside_unit_interval_rejected(self, tmp_path, tolerances):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(make_config(tmp_path, N=[3], D=[4], J=[1.0], degreeLadder=[30, 40], tolerances=tolerances))
+        )
         assert main(["--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 

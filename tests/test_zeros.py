@@ -65,6 +65,36 @@ class TestFindRoots:
     def test_empty_for_constant(self):
         assert find_roots([2.0, 0.0, 0.0]).roots == ()
 
+    def test_non_finite_coefficient_raises(self):
+        with pytest.raises(RuntimeError, match="degree 1 is not finite"):
+            find_roots([1.0, float("nan"), 1.0])
+
+
+class TestResidualGate:
+    """Companion eigenvalues are not refined: a root off its residual bar is flagged."""
+
+    @pytest.fixture
+    def perturbed_seeds(self, monkeypatch):
+        exact = np.roots
+
+        def perturbed(p):
+            return exact(p) * (1 + 1e-4)
+
+        monkeypatch.setattr(np, "roots", perturbed)
+
+    def test_find_roots_flags_perturbed_seeds(self, perturbed_seeds):
+        # the low roots, which match -j_{0,k}^2, miss the 1e-10 bar by orders
+        # of magnitude; ill-conditioned high roots may still pass it
+        v = laplace_transform(SPHERE, 2, 40)
+        rs = find_roots(v.coefficients)
+        assert not any(rs.converged[:3])
+        assert all(res > 1e-8 for res in rs.residuals[:3])
+
+    def test_flagged_roots_are_unstable_and_inconclusive(self, perturbed_seeds):
+        report = stabilize_chain([1], 2, 0.0, SPHERE, (40, 60))[1]
+        assert report.roots and not any(report.stable)
+        assert report.overall == INCONCLUSIVE
+
 
 class TestNewtonCheck:
     def test_real_rooted_passes(self):

@@ -62,6 +62,14 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit status 2)."""
 
 
+def _finite(x):
+    """Whether x is a finite float, or a Fraction inside the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -81,6 +89,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(data).__name__}")
+        tolerances = data.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, not {type(tolerances).__name__}")
         try:
             command = data["command"]
             if command not in COMMANDS:
@@ -98,8 +111,8 @@ class RunConfig:
                 Ds=tuple(int(d) for d in data.get("D", [2])),
                 Js=tuple(coupling(j) for j in data.get("J", [0.5])),
                 degree_ladder=tuple(int(m) for m in data.get("degreeLadder", [30, 40])),
-                axis_tol=float(data.get("tolerances", {}).get("axis", 1e-6)),
-                drift_tol=float(data.get("tolerances", {}).get("drift", 1e-8)),
+                axis_tol=float(tolerances.get("axis", 1e-6)),
+                drift_tol=float(tolerances.get("drift", 1e-8)),
                 output_dir=str(data.get("outputDir", "out")),
                 seed=int(data.get("seed", 0)),
                 backend=backend,
@@ -109,7 +122,7 @@ class RunConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError, MeasureError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, MeasureError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
         cfg.validate()
         return cfg
@@ -125,8 +138,14 @@ class RunConfig:
             raise ConfigError("degreeLadder must be strictly increasing")
         if any(m < 0 for m in self.degree_ladder):
             raise ConfigError("degreeLadder entries must be nonnegative")
-        if not all(math.isfinite(j) for j in self.Js):
+        if not all(_finite(j) for j in self.Js):
             raise ConfigError("couplings J must be finite")
+        if self.measure.kind == "sphere" and not _finite(self.measure.radius):
+            raise ConfigError("a sphere radius must be finite")
+        if not all(math.isfinite(y) for y in self.ys):
+            raise ConfigError("oracle points y must be finite")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
         for name, tol in (("axis", self.axis_tol), ("drift", self.drift_tol)):
             if not 0 <= tol < 1:
                 raise ConfigError(f"tolerances.{name} must lie in [0, 1)")
@@ -402,6 +421,8 @@ def main(argv=None) -> int:
                 data = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"unreadable config: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ConfigError(f"a config must be a JSON object, not {type(data).__name__}")
             if args.command:
                 data["command"] = args.command
         else:

@@ -32,8 +32,9 @@ TABULATED = "tabulated"
 QUAD_RTOL = 1e-12
 TAIL_DROP = 1e-16
 # Measure profiles kept compiled, each with its moments (about 14 kB for a
-# scan point at M = 60).  A run works through one measure at a time, so a few
-# suffice; the scan over the quartic well's a never returns to an old point.
+# scan point at M = 60) and its quadrature-node values (about 36 kB there).
+# A run works through one measure at a time, so a few suffice; the scan over
+# the quartic well's a never returns to an old point.
 COMPILED_PROFILES = 8
 
 
@@ -121,7 +122,8 @@ class RadialMeasure:
         """Inverse of to_json; exact=True reads a sphere radius as a Fraction.
 
         The exact radius is Fraction(str(r)), so 0.2 becomes 1/5; the label
-        is the same either way.
+        is the same either way.  Numbers are read as floats (or that
+        Fraction), so a value that is not a number raises here.
         """
         data = json.loads(text) if isinstance(text, str) else dict(text)
         kind = data.get("kind")
@@ -129,9 +131,10 @@ class RadialMeasure:
         if kind == SPHERE:
             radius = data["radius"]
             label = label or f"sphere(r={radius})"
-            return cls.sphere(Fraction(str(radius)) if exact else radius, label)
+            return cls.sphere(Fraction(str(radius)) if exact else float(radius), label)
         if kind == DENSITY:
-            return cls.density(data.get("f", [1.0]), data["g"], label)
+            f = [float(c) for c in data.get("f", [1.0])]
+            return cls.density(f, [float(c) for c in data["g"]], label)
         if kind == TABULATED:
             return cls.tabulated(data["samples"], label)
         raise MeasureError(f"unknown measure kind {kind!r}")
@@ -401,7 +404,10 @@ class _Profile:
 
     ``tau`` is the profile, for floats and arrays alike; ``moments`` maps k
     to m_k; ``probes`` holds the tail cutoff's probe grids with the profile
-    on them, which do not depend on k.
+    on them, which do not depend on k; ``nodes`` maps each quadrature node x
+    to float(tau(x * x)).  Moments whose tail cutoffs agree are integrated
+    over the same bisections of [0, sqrt(R)], so they share nodes, and tau
+    runs once per node instead of once per integrand call.
     """
 
     def __init__(self, measure: RadialMeasure):
@@ -415,13 +421,22 @@ class _Profile:
             self.tau = functools.partial(np.interp, xp=s, fp=t, left=0.0, right=0.0)
         self.moments = {}
         self.probes = []
+        self.nodes = {}
 
     def integrand(self, k):
-        """x -> 2 x^(2k+1) tau(x^2), the moment integrand in x = sqrt(s)."""
-        tau, power = self.tau, 2 * k + 1
+        """x -> 2 x^(2k+1) tau(x^2), the moment integrand in x = sqrt(s).
+
+        The memoised tau is the value tau computed, made a Python float
+        (exact), so every product rounds as it does on numpy scalars; x = -0.0
+        shares +0.0's entry, where x * x is the same +0.0.
+        """
+        tau, nodes, power = self.tau, self.nodes, 2 * k + 1
 
         def value(x):
-            return 2.0 * x**power * tau(x * x)
+            t = nodes.get(x)
+            if t is None:
+                t = nodes[x] = float(tau(x * x))
+            return 2.0 * x**power * t
 
         return value
 

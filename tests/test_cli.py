@@ -430,6 +430,54 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            # exit 1 means "Violated inside the theorem regime", so a malformed
+            # file must not end in a traceback (which exits 1)
+            ('{"command": "verify", "tolerances": [1]}', []),
+            ('{"command": "verify", "tolerances": 0.5}', []),
+            ("[1, 2]", []),
+            ("[1, 2]", ["verify"]),
+            ('"verify"', ["verify"]),
+            ('{"command": "verify", "measure": {"kind": "sphere", "radius": "one"}}', []),
+            ('{"command": "laplace", "measure": {"kind": "density", "f": ["x"], "g": [0, 0, 1]}}', []),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, argv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_oracle_point_rejected(self, tmp_path, y):
+        # a NaN used to exit 0 with a row of nan values in oracle_compare.csv
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command="oracle-compare", y=[0.5, y])))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, jobs=jobs)))
+        assert main(["--config", str(cfg_path)]) == 2
+        cfg_path.write_text(json.dumps(make_config(tmp_path)))
+        assert main(["--config", str(cfg_path), "--jobs", str(jobs)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides", [{"J": [10**400]}, {"measure": {"kind": "sphere", "radius": 10**400}}]
+    )
+    def test_rational_scalar_past_float_range_rejected(self, tmp_path, overrides):
+        # an exact J or radius that the config hash cannot write as a float
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, backend="rational", **overrides)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(tmp_path)))

@@ -296,6 +296,53 @@ class TestCompiledDensity:
         assert digest.hexdigest() == self.PROFILE_SHA256
 
 
+class TestNodeMemo:
+    """tau runs once per quadrature node, and the memo never changes a moment."""
+
+    WELL = counterexample_measure(0.75)
+
+    def test_tau_runs_once_per_node(self, monkeypatch):
+        measures._compiled.cache_clear()
+        compiled = measures._compiled(self.WELL)
+        tau, integrand = compiled.tau, compiled.integrand
+        scalar_args, integrand_calls = [], [0]
+
+        def counted_tau(s):
+            if np.ndim(s) == 0:
+                scalar_args.append(s)
+            return tau(s)
+
+        def counted_integrand(k):
+            value = integrand(k)
+
+            def call(x):
+                integrand_calls[0] += 1
+                return value(x)
+
+            return call
+
+        monkeypatch.setattr(compiled, "tau", counted_tau)
+        monkeypatch.setattr(compiled, "integrand", counted_integrand)
+        laplace_transform(self.WELL, 1, 60)
+        # the tail cutoff's own scalar calls are at its probe radii R, which
+        # are no node's x^2: quad's Gauss-Kronrod nodes lie inside [0, sqrt(R)]
+        cutoffs = {R for R, _, _ in compiled.probes}
+        node_calls = [s for s in scalar_args if s not in cutoffs]
+        assert len(node_calls) == len(compiled.nodes) > 0
+        assert 20 * len(node_calls) < integrand_calls[0]
+
+    @pytest.mark.parametrize("k", [-0.5, 9.5, 59.5])
+    def test_moment_independent_of_fill_order(self, k):
+        measures._compiled.cache_clear()
+        cold = radial_moment(self.WELL, k)
+        measures._compiled.cache_clear()
+        for other in [59.5 - j for j in range(61)]:
+            if other != k:
+                radial_moment(self.WELL, other)
+        assert measures._compiled(self.WELL).nodes  # m_k now starts from a filled memo
+        assert radial_moment(self.WELL, k).hex() == cold.hex()
+
+
 def test_csv_export_shape():
     v = laplace_transform(SPHERE, 2, 3)
     lines = v.to_csv().strip().splitlines()

@@ -104,11 +104,12 @@ class RunConfig:
                 data.get("measure", {"kind": "sphere", "radius": 1.0}), exact=exact
             )
             coupling = (lambda j: Fraction(str(j))) if exact else float
+            default_D = [1] if command == "counterexample-scan" else [2]
             cfg = cls(
                 command=command,
                 measure=measure,
                 Ns=tuple(int(n) for n in data.get("N", [2])),
-                Ds=tuple(int(d) for d in data.get("D", [2])),
+                Ds=tuple(int(d) for d in data.get("D", default_D)),
                 Js=tuple(coupling(j) for j in data.get("J", [0.5])),
                 degree_ladder=tuple(int(m) for m in data.get("degreeLadder", [30, 40])),
                 axis_tol=float(tolerances.get("axis", 1e-6)),
@@ -134,6 +135,8 @@ class RunConfig:
         ladder_commands = ("zeros", "verify", "sweep", "counterexample-scan")
         if len(self.degree_ladder) < 2 and self.command in ladder_commands:
             raise ConfigError("degreeLadder needs at least two stages")
+        if self.command == "counterexample-scan" and self.Ds != (1,):
+            raise ConfigError("counterexample-scan runs at D = 1 only")
         if any(b <= a for a, b in zip(self.degree_ladder, self.degree_ladder[1:])):
             raise ConfigError("degreeLadder must be strictly increasing")
         if any(m < 0 for m in self.degree_ladder):
@@ -228,8 +231,8 @@ def _oracle_table(cfg: RunConfig) -> str:
         raise ConfigError("oracle comparisons require a sphere measure")
     M_top = max(cfg.degree_ladder)
     lines = ["N,D,J,y,phi_value,oracle_value,oracle_error,rel_diff,method"]
-    for D in cfg.Ds:
-        for J in cfg.Js:
+    for D, J in itertools.product(cfg.Ds, cfg.Js):
+        with _at(D, J):
             chain = phi_chain(cfg.Ns, D, J, cfg.measure, M_top, cfg.backend)
             modal = phi_modal(cfg.Ns, D, J, float(cfg.measure.radius), 2 * M_top)
             for N in sorted(chain):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .measures import RadialMeasure, laplace_transform
 from .zeros import (
     DRIFT_TOL,
-    NEGATIVE_REAL,
     OFF_AXIS,
+    VERIFIED,
     VIOLATED,
     _cluster,
     classify_lee_yang,
@@ -30,14 +30,17 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
+# relative drift below which a root of the degree-window truncation counts
+# as matched in the degree-(window - 4) one; at evidence windows the
+# ladder's own DRIFT_TOL of 1e-8 turns some passes and fails inconclusive
+TRUST_DRIFT = 1e-6
+
 
 @dataclass(frozen=True)
 class ClassEvidence:
     """Per-derivative-order check results for one series."""
 
-    subject: str
     checks: tuple  # (name, PASS | FAIL | INCONCLUSIVE)
-    derivative_depth: int
 
     @property
     def overall(self):
@@ -48,82 +51,57 @@ class ClassEvidence:
         return INCONCLUSIVE
 
 
-def _differentiate(coeffs, order):
-    c = list(coeffs)
-    for _ in range(order):
-        c = [c[n] * n for n in range(1, len(c))]
-    return c
+def _roots_status(coeffs, window, tol):
+    """Judge the zeros of the degree-``window`` truncation of ``coeffs``.
 
-
-def _trusted_roots(coeffs, window, drift_tol=1e-6):
-    """Roots of the truncation that evidence may legitimately judge.
-
-    A complete polynomial (trailing zeros within the window) contributes
-    every root, clustered so float splitting of multiple roots does not
-    masquerade as off-axis pairs.  A genuine truncation is solved at two
-    nearby windows and only the roots that agree ("trusted") are judged:
-    the top roots of any truncation say nothing about the entire function.
+    A polynomial that ends inside the window is not a truncation, so every
+    root cluster is judged.  A genuine truncation runs the verdict ladder on
+    degrees window - 4 and window at drift ``TRUST_DRIFT``: only matched
+    roots are judged, since the top roots of a truncation say nothing about
+    the entire function.  Either way a judged root that missed its residual
+    bar makes the order inconclusive.
     """
-    nz = [n for n, c in enumerate(coeffs) if c != 0]
-    if not nz or nz[-1] == 0:
-        return [], True
-    d_eff = nz[-1]
-    w = min(window, len(coeffs) - 1)
-    if w >= d_eff:
-        rs = find_roots(coeffs, d_eff)
-        clusters = _cluster(rs)
-        return [(z, conv) for z, _mult, conv in clusters], True
-    rs_hi = find_roots(coeffs, w)
-    rs_lo = find_roots(coeffs, max(w - 4, 1))
-    hi = _cluster(rs_hi)
-    lo = _cluster(rs_lo)
-    trusted = []
-    used = set()
-    for z, _mult, conv in hi:
-        for idx, (pz, _pm, _pc) in enumerate(lo):
-            if idx in used:
-                continue
-            if abs(z - pz) <= drift_tol * (1.0 + abs(z)):
-                used.add(idx)
-                trusted.append((z, conv))
-                break
-    return trusted, False
+    if not any(coeffs[window + 1 :]):
+        clusters = _cluster(find_roots(coeffs, window))
+        if not clusters:
+            return PASS
+        if not all(conv for _z, _mult, conv in clusters):
+            return INCONCLUSIVE
+        overall = classify_lee_yang([z for z, _mult, _conv in clusters], tol=tol).overall
+    else:
+        low = max(window - 4, 1)
+        report = stabilize_series(
+            {low: coeffs[: low + 1], window: coeffs[: window + 1]}, tol=tol, drift_tol=TRUST_DRIFT
+        )
+        if any(d < TRUST_DRIFT and not s for d, s in zip(report.drift_per_root, report.stable)):
+            return INCONCLUSIVE
+        overall = report.overall
+    return {VERIFIED: PASS, VIOLATED: FAIL}.get(overall, INCONCLUSIVE)
 
 
-def laguerre_evidence(coefficients, window, depth=0, tol=1e-6, subject="series") -> ClassEvidence:
+def laguerre_evidence(coefficients, window, depth=0, tol=1e-6) -> ClassEvidence:
     """Check the truncation and its first ``depth`` derivatives.
 
     Per order: the log-concavity screen on the first ``window``
-    coefficients, then root classification of the trusted part of the
-    degree-``window`` truncation.  Real-rootedness survives
+    coefficients, then root classification of the degree-``window``
+    truncation (``_roots_status``).  Real-rootedness survives
     differentiation, so a fail at a deeper order is evidence against
-    membership at order zero as well.
+    membership at order zero as well.  The window must be at least 2, so
+    a truncation has a lower rung to be matched against.
     """
+    if window < 2:
+        raise ValueError("window must be at least 2")
     coeffs = [float(c) for c in coefficients]
     if len(coeffs) < window + depth + 1:
         raise ValueError("series too short for requested window and depth")
     checks = []
     for order in range(depth + 1):
-        d = _differentiate(coeffs, order)
-        head = d[: window + 1]
-        newton_ok = all(ok for _, ok in newton_check(head))
+        if order:
+            coeffs = [c * n for n, c in enumerate(coeffs)][1:]
+        newton_ok = all(ok for _, ok in newton_check(coeffs[: window + 1]))
         checks.append((f"newton[{order}]", PASS if newton_ok else FAIL))
-        trusted, complete = _trusted_roots(d, window)
-        name = f"roots-negative-real[{order}]"
-        if not trusted:
-            checks.append((name, PASS if complete else INCONCLUSIVE))
-            continue
-        if not all(conv for _z, conv in trusted):
-            checks.append((name, INCONCLUSIVE))
-            continue
-        report = classify_lee_yang([z for z, _c in trusted], tol=tol)
-        if all(v == NEGATIVE_REAL for v in report.verdicts):
-            checks.append((name, PASS))
-        elif any(v == OFF_AXIS for v in report.verdicts):
-            checks.append((name, FAIL))
-        else:
-            checks.append((name, INCONCLUSIVE))
-    return ClassEvidence(subject, tuple(checks), depth)
+        checks.append((f"roots-negative-real[{order}]", _roots_status(coeffs, window, tol)))
+    return ClassEvidence(tuple(checks))
 
 
 def counterexample_measure(a) -> RadialMeasure:

@@ -370,10 +370,7 @@ def exp_operator(J, op: GramOperator, p: TruncatedPoly) -> TruncatedPoly:
         power = apply_operator(op, power)
         if power.is_zero():
             break
-        if p.field == RATIONAL:
-            scale = scale * J / k
-        else:
-            scale = scale * J / float(k)
+        scale = scale * J / k
         out = out + power.scale(scale)
     return out
 

@@ -201,7 +201,7 @@ class TestRun:
 
     def test_counterexample_scan_command(self, tmp_path):
         cfg = RunConfig.from_dict(
-            make_config(tmp_path, command="counterexample-scan", degreeLadder=[40, 60])
+            make_config(tmp_path, command="counterexample-scan", D=[1], degreeLadder=[40, 60])
         )
         assert run(cfg) == 0
         body = (tmp_path / "out" / "counterexample_scan.csv").read_text()
@@ -214,6 +214,7 @@ class TestRun:
             make_config(
                 tmp_path,
                 command="counterexample-scan",
+                D=[1],
                 degreeLadder=[12, 16],
                 tolerances={"drift": 0},
             )
@@ -229,10 +230,25 @@ class TestRun:
         # one rung gives no drift check; the scan must not swap in another ladder
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
-            json.dumps(make_config(tmp_path, command="counterexample-scan", degreeLadder=[30]))
+            json.dumps(make_config(tmp_path, command="counterexample-scan", D=[1], degreeLadder=[30]))
         )
         assert main(["--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_counterexample_scan_rejects_other_dimensions(self, tmp_path):
+        # the scan's density and verdict scope are D = 1 only; another D used
+        # to run at D = 1 anyway under a different config hash
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(make_config(tmp_path, command="counterexample-scan", D=[4], degreeLadder=[40, 60]))
+        )
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_counterexample_scan_defaults_to_one_dimension(self, tmp_path):
+        data = make_config(tmp_path, command="counterexample-scan", degreeLadder=[40, 60])
+        del data["D"]
+        assert RunConfig.from_dict(data).Ds == (1,)
 
     def test_oracle_compare_needs_sphere(self, tmp_path):
         density = {"kind": "density", "f": [1.0], "g": [0.0, 0.0, 1.0]}
@@ -282,7 +298,7 @@ class TestRun:
     def test_overflow_exits_3(self, tmp_path):
         # sphere coefficients r^n / (4^n n!^2) pass the float range at r = 1e300;
         # the OverflowError is recorded, in the run and in the oracle table,
-        # not a traceback with exit status 1
+        # each naming its (D, J) pair, not a traceback with exit status 1
         huge = {"kind": "sphere", "radius": 1e300}
         cfg = RunConfig.from_dict(
             make_config(tmp_path, measure=huge, degreeLadder=[10, 12], oracle=True)
@@ -290,9 +306,9 @@ class TestRun:
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdicts"] == []
-        assert [e.split(":")[0] for e in report["errors"]] == [
-            "numeric failure",
-            "oracle comparison failed",
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: math range error",
+            "oracle comparison failed: D=2, J=0.5: math range error",
         ]
         assert report["exit_status"] == 3
 
@@ -301,6 +317,15 @@ class TestRun:
         huge = {"kind": "sphere", "radius": 1e300}
         cfg = RunConfig.from_dict(
             make_config(tmp_path, measure=huge, D=[2, 4], J=[0.5], degreeLadder=[10, 12], jobs=jobs)
+        )
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
+
+    def test_oracle_compare_overflow_names_its_item(self, tmp_path):
+        huge = {"kind": "sphere", "radius": 1e300}
+        cfg = RunConfig.from_dict(
+            make_config(tmp_path, command="oracle-compare", measure=huge, degreeLadder=[10, 12])
         )
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -388,7 +413,7 @@ class TestMainEntry:
     def test_rational_backend_rejects_float_only_commands(self, tmp_path, command):
         # these commands have only a float path, which must not run in its place
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, backend="rational")))
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, D=[1], backend="rational")))
         assert main(["--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 

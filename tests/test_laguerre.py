@@ -6,8 +6,8 @@ import pytest
 from rotorzeros import measures
 from rotorzeros.laguerre import (
     FAIL,
+    INCONCLUSIVE,
     PASS,
-    ClassEvidence,
     counterexample_measure,
     counterexample_scan,
     laguerre_evidence,
@@ -64,6 +64,56 @@ class TestEvidence:
         v = laplace_transform(meas, D, 44)
         ev = laguerre_evidence(v.coefficients, window=20, depth=0)
         assert ev.overall == PASS
+
+
+class TestTrustRule:
+    """Which roots of a truncation the evidence judges, and how."""
+
+    @pytest.fixture
+    def smallest_root_perturbed(self, monkeypatch):
+        # moves only the smallest-modulus root 1e-4 off, relative: it still
+        # matches across rungs but misses its residual bar
+        exact = np.roots
+
+        def perturbed(p):
+            roots = exact(p)
+            roots[np.argmin(np.abs(roots))] *= 1 + 1e-4
+            return roots
+
+        monkeypatch.setattr(np, "roots", perturbed)
+
+    def test_well_off_axis_pair_fails_at_the_trust_drift(self):
+        # the ladder's own 1e-8 drift bar says inconclusive here
+        v = laplace_transform(counterexample_measure(2.0), 1, 60)
+        ev = laguerre_evidence(v.float_coefficients(), window=16)
+        assert dict(ev.checks)["roots-negative-real[0]"] == FAIL
+
+    def test_complete_polynomial_judges_every_root(self):
+        # the off-axis pair lies past the first default_window(10) = 5 clusters
+        roots = [-1, -2, -3, -4, -5, -6, -8 + 3j, -8 - 3j]
+        coeffs = np.polynomial.polynomial.polyfromroots(roots).real.tolist() + [0.0] * 4
+        ev = laguerre_evidence(coeffs, window=10)
+        assert dict(ev.checks)["roots-negative-real[0]"] == FAIL
+
+    def test_constant_passes(self):
+        assert laguerre_evidence([3.0, 0.0, 0.0], window=2).overall == PASS
+
+    def test_window_below_two_rejected(self):
+        # a degree-1 truncation has no lower rung to be matched against
+        with pytest.raises(ValueError):
+            laguerre_evidence([1.0, 1.0, 1.0], window=1)
+
+    @pytest.mark.parametrize(
+        "coeffs, window",
+        [
+            (laplace_transform(SPHERE, 2, 44).coefficients, 20),
+            ([6.0, 11.0, 6.0, 1.0, 0.0], 3),  # (1 + zeta)(2 + zeta)(3 + zeta)
+        ],
+        ids=["sphere-truncation", "complete-cubic"],
+    )
+    def test_flagged_root_is_inconclusive(self, smallest_root_perturbed, coeffs, window):
+        ev = laguerre_evidence(coeffs, window=window)
+        assert dict(ev.checks)["roots-negative-real[0]"] == INCONCLUSIVE
 
 
 class TestCounterexample:

@@ -39,23 +39,28 @@ from .measures import MeasureError, RadialMeasure, laplace_transform, validate_m
 from .oracles import phi_modal
 from .polys import RATIONAL
 from .recursion import phi_chain, stable_coefficient_count
-from .zeros import VIOLATED, stabilize_chain
+from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, stabilize_chain
 
 SCHEMA_VERSION = 1
 
 # errors a run records as numeric failures (exit status 3) instead of raising
 NUMERIC_ERRORS = (MeasureError, RuntimeError, OverflowError, np.linalg.LinAlgError)
 
-COMMANDS = (
-    "laplace",
-    "phi",
-    "zeros",
-    "verify",
-    "oracle-compare",
-    "geometry-selftest",
-    "counterexample-scan",
-    "sweep",
-)
+COMMANDS = ("laplace", "phi", "verify", "oracle-compare", "geometry-selftest",
+            "counterexample-scan", "sweep")
+
+# commands that stabilize zeros over the (N, D, J) grid; they differ only in
+# sweep's default of one worker per CPU
+GRID_COMMANDS = ("verify", "sweep")
+
+# commands that never read the config's measure: they skip its validation
+# and have no rational backend
+MEASURELESS = ("geometry-selftest", "counterexample-scan")
+
+# the keys a config file may set, top level and inside "tolerances"
+CONFIG_KEYS = ("command", "measure", "N", "D", "J", "degreeLadder", "tolerances",
+               "outputDir", "seed", "backend", "jobs", "y")
+TOLERANCE_KEYS = ("axis", "drift")
 
 
 class ConfigError(ValueError):
@@ -78,12 +83,11 @@ class RunConfig:
     Ds: tuple = (2,)
     Js: tuple = (0.5,)
     degree_ladder: tuple = (30, 40)
-    axis_tol: float = 1e-6
-    drift_tol: float = 1e-8
+    axis_tol: float = AXIS_TOL
+    drift_tol: float = DRIFT_TOL
     output_dir: str = "out"
     seed: int = 0
     backend: str = "float64"
-    oracle: bool = False
     jobs: int = 1
     ys: tuple = (0.5, 1.0, 2.0)
 
@@ -94,32 +98,36 @@ class RunConfig:
         tolerances = data.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ConfigError(f"tolerances must be an object, not {type(tolerances).__name__}")
+        unknown = [str(k) for k in data if k not in CONFIG_KEYS]
+        unknown += [f"tolerances.{k}" for k in tolerances if k not in TOLERANCE_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config key: {', '.join(map(repr, unknown))}")
         try:
             command = data["command"]
             if command not in COMMANDS:
                 raise ConfigError(f"unknown command {command!r}")
-            backend = str(data.get("backend", "float64"))
+            backend = str(data.get("backend", cls.backend))
             exact = backend == RATIONAL
             measure = RadialMeasure.from_json(
                 data.get("measure", {"kind": "sphere", "radius": 1.0}), exact=exact
             )
             coupling = (lambda j: Fraction(str(j))) if exact else float
-            default_D = [1] if command == "counterexample-scan" else [2]
+            default_D = (1,) if command == "counterexample-scan" else cls.Ds
+            jobs = (os.cpu_count() or 1) if command == "sweep" else cls.jobs
             cfg = cls(
                 command=command,
                 measure=measure,
-                Ns=tuple(int(n) for n in data.get("N", [2])),
+                Ns=tuple(int(n) for n in data.get("N", cls.Ns)),
                 Ds=tuple(int(d) for d in data.get("D", default_D)),
-                Js=tuple(coupling(j) for j in data.get("J", [0.5])),
-                degree_ladder=tuple(int(m) for m in data.get("degreeLadder", [30, 40])),
-                axis_tol=float(tolerances.get("axis", 1e-6)),
-                drift_tol=float(tolerances.get("drift", 1e-8)),
-                output_dir=str(data.get("outputDir", "out")),
-                seed=int(data.get("seed", 0)),
+                Js=tuple(coupling(j) for j in data.get("J", cls.Js)),
+                degree_ladder=tuple(int(m) for m in data.get("degreeLadder", cls.degree_ladder)),
+                axis_tol=float(tolerances.get("axis", cls.axis_tol)),
+                drift_tol=float(tolerances.get("drift", cls.drift_tol)),
+                output_dir=str(data.get("outputDir", cls.output_dir)),
+                seed=int(data.get("seed", cls.seed)),
                 backend=backend,
-                oracle=bool(data.get("oracle", False)),
-                jobs=int(data.get("jobs", 1)),
-                ys=tuple(float(y) for y in data.get("y", [0.5, 1.0, 2.0])),
+                jobs=int(data.get("jobs", jobs)),
+                ys=tuple(float(y) for y in data.get("y", cls.ys)),
             )
         except ConfigError:
             raise
@@ -132,8 +140,7 @@ class RunConfig:
         for name, values in (("N", self.Ns), ("D", self.Ds), ("J", self.Js)):
             if not values:
                 raise ConfigError(f"list {name} must be nonempty")
-        ladder_commands = ("zeros", "verify", "sweep", "counterexample-scan")
-        if len(self.degree_ladder) < 2 and self.command in ladder_commands:
+        if len(self.degree_ladder) < 2 and self.command in (*GRID_COMMANDS, "counterexample-scan"):
             raise ConfigError("degreeLadder needs at least two stages")
         if self.command == "counterexample-scan" and self.Ds != (1,):
             raise ConfigError("counterexample-scan runs at D = 1 only")
@@ -158,9 +165,8 @@ class RunConfig:
             raise ConfigError("dimensions must be positive")
         if self.backend not in ("float64", "rational"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        backend_commands = ("laplace", "phi", "zeros", "verify", "sweep", "oracle-compare")
         if self.backend == RATIONAL:
-            if self.command not in backend_commands:
+            if self.command in MEASURELESS:
                 raise ConfigError(f"{self.command} has no rational backend")
             if self.measure.kind != "sphere":
                 raise ConfigError("rational backend supports sphere measures only")
@@ -287,10 +293,13 @@ def run(cfg: RunConfig) -> int:
     errors = []
     status = 0
 
-    validation = validate_measure(cfg.measure)
-    if cfg.command not in ("geometry-selftest", "counterexample-scan") and not validation.passed:
-        print(f"measure failed validation: {validation.failures()}", file=sys.stderr)
-        return 2
+    certified = None  # no certificate for a measure the command never reads
+    if cfg.command not in MEASURELESS:
+        validation = validate_measure(cfg.measure)
+        if not validation.passed:
+            print(f"measure failed validation: {validation.failures()}", file=sys.stderr)
+            return 2
+        certified = validation.certified_lee_yang
 
     M_top = max(cfg.degree_ladder)
     try:
@@ -315,10 +324,10 @@ def run(cfg: RunConfig) -> int:
                             cfg_hash,
                             series.metadata(stable_through=stable),
                         )
-        elif cfg.command in ("zeros", "verify", "sweep"):
+        elif cfg.command in GRID_COMMANDS:
             reports = _grid_reports(cfg)
             for (N, D, J), rep in sorted(reports.items()):
-                in_regime = _theorem_regime(D, J, validation.certified_lee_yang)
+                in_regime = _theorem_regime(D, J, certified)
                 scope = "theorem" if in_regime else "outside theorem guarantee"
                 verdicts.append(
                     {
@@ -374,12 +383,6 @@ def run(cfg: RunConfig) -> int:
         # numeric failures surface in the summary, not as a crash
         errors.append(f"numeric failure: {exc}")
 
-    if cfg.oracle and cfg.command != "oracle-compare" and cfg.measure.kind == "sphere":
-        try:
-            _write_artifact(outdir, "oracle_compare.csv", _oracle_table(cfg), cfg_hash)
-        except (MeasureError, ValueError, RuntimeError, OverflowError) as exc:
-            errors.append(f"oracle comparison failed: {exc}")
-
     if errors and status == 0:
         status = 3
     timings["total_s"] = round(time.perf_counter() - t_start, 6)
@@ -395,7 +398,7 @@ def run(cfg: RunConfig) -> int:
             "numpy": np.__version__,
             "scipy": importlib.metadata.version("scipy"),
         },
-        "measure_certified_lee_yang": validation.certified_lee_yang,
+        "measure_certified_lee_yang": certified,
         "exit_status": status,
     }
     outdir.mkdir(parents=True, exist_ok=True)
@@ -410,13 +413,14 @@ def main(argv=None) -> int:
         description="Lee-Yang zero analysis for isotropic spin chains",
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="pipeline to run")
-    parser.add_argument("--config", help="JSON config file (overrides other flags)")
+    parser.add_argument("--config", help="JSON config file (flags override its keys)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed for geometry-selftest")
     parser.add_argument("--backend", choices=["float64", "rational"], default=None)
-    parser.add_argument("--oracle", action="store_true", help="attach oracle comparisons")
     parser.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")
     args = parser.parse_args(argv)
+    flags = {"command": args.command, "outputDir": args.out, "seed": args.seed,
+             "backend": args.backend, "jobs": args.jobs}
 
     try:
         if args.config:
@@ -426,24 +430,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unreadable config: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError(f"a config must be a JSON object, not {type(data).__name__}")
-            if args.command:
-                data["command"] = args.command
+        elif args.command:
+            data = {}
         else:
-            if not args.command:
-                raise ConfigError("either a command or --config is required")
-            data = {"command": args.command}
-        if args.out is not None:
-            data["outputDir"] = args.out
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.backend is not None:
-            data["backend"] = args.backend
-        if args.oracle:
-            data["oracle"] = True
-        if args.jobs is not None:
-            data["jobs"] = args.jobs
-        elif data.get("command") == "sweep" and "jobs" not in data:
-            data["jobs"] = os.cpu_count() or 1
+            raise ConfigError("either a command or --config is required")
+        data.update((key, value) for key, value in flags.items() if value is not None)
         cfg = RunConfig.from_dict(data)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

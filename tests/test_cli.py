@@ -4,6 +4,7 @@ import ctypes
 import inspect
 import json
 import os
+import re
 import subprocess
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 import rotorzeros
 from rotorzeros import cli
 from rotorzeros.cli import ConfigError, RunConfig, main, run
+from rotorzeros.measures import RadialMeasure
 from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
 SPHERE_JSON = {"kind": "sphere", "radius": 1.0}
@@ -61,6 +63,23 @@ class TestConfig:
         assert cfg.Js == (Fraction(1, 5), Fraction(1))
         assert cfg.measure.radius == Fraction(1, 5)
         assert cfg.measure.label == "sphere(r=0.2)"
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert RunConfig.from_dict({"command": "verify"}) == RunConfig("verify", RadialMeasure.sphere(1.0))
+
+    def test_sweep_defaults_to_one_worker_per_cpu(self):
+        # the library and the command line read the same default
+        assert RunConfig.from_dict({"command": "sweep"}).jobs == (os.cpu_count() or 1)
+        assert RunConfig.from_dict({"command": "sweep", "jobs": 1}).jobs == 1
+        assert RunConfig.from_dict({"command": "verify"}).jobs == 1
+
+    def test_removed_routes_rejected(self, tmp_path):
+        # oracle_compare.csv has one route, the oracle-compare command
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(make_config(tmp_path, command="zeros"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--oracle"])
+        assert exc.value.code == 2
 
     def test_hash_stability(self, tmp_path):
         a = RunConfig.from_dict(make_config(tmp_path)).config_hash()
@@ -145,12 +164,19 @@ class TestRun:
         data = json.loads((tmp_path / "out" / "geometry_selftest.json").read_text())
         assert data["overall_pass"] is True
 
-    def test_oracle_flag_attaches_comparison(self, tmp_path):
-        cfg = RunConfig.from_dict(
-            make_config(tmp_path, oracle=True, N=[2], y=[1.0], degreeLadder=[30, 40])
-        )
-        assert run(cfg) == 0
-        assert (tmp_path / "out" / "oracle_compare.csv").exists()
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [("geometry-selftest", {}), ("counterexample-scan", {"D": [1], "degreeLadder": [12, 16]})],
+    )
+    def test_measureless_command_reports_no_certificate(self, tmp_path, monkeypatch, command, overrides):
+        # these commands never read the measure, so they neither validate it
+        # nor report the default sphere's certificate beside their verdicts
+        validated = []
+        monkeypatch.setattr(cli, "validate_measure", validated.append)
+        run(RunConfig.from_dict(make_config(tmp_path, command=command, **overrides)))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["measure_certified_lee_yang"] is None
+        assert validated == []
 
     @staticmethod
     def _serial_and_pool_csvs(tmp_path, **grid):
@@ -297,19 +323,14 @@ class TestRun:
 
     def test_overflow_exits_3(self, tmp_path):
         # sphere coefficients r^n / (4^n n!^2) pass the float range at r = 1e300;
-        # the OverflowError is recorded, in the run and in the oracle table,
-        # each naming its (D, J) pair, not a traceback with exit status 1
+        # the OverflowError is recorded, naming its (D, J) pair, not a
+        # traceback with exit status 1
         huge = {"kind": "sphere", "radius": 1e300}
-        cfg = RunConfig.from_dict(
-            make_config(tmp_path, measure=huge, degreeLadder=[10, 12], oracle=True)
-        )
+        cfg = RunConfig.from_dict(make_config(tmp_path, measure=huge, degreeLadder=[10, 12]))
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdicts"] == []
-        assert report["errors"] == [
-            "numeric failure: D=2, J=0.5: math range error",
-            "oracle comparison failed: D=2, J=0.5: math range error",
-        ]
+        assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
         assert report["exit_status"] == 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -476,6 +497,23 @@ class TestMainEntry:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            # a typo used to be ignored, running the default (30, 40) ladder
+            ({"degreeLader": [10, 12]}, "'degreeLader'"),
+            ({"tolerances": {"axsi": 0.5}}, "'tolerances.axsi'"),
+            # the removed switch is an unknown key too, not a silent no-op
+            ({"oracle": True}, "'oracle'"),
+        ],
+    )
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys, overrides, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_oracle_point_rejected(self, tmp_path, y):
         # a NaN used to exit 0 with a row of nan values in oracle_compare.csv
@@ -597,3 +635,19 @@ class TestOneBlasThread:
             + f"print(cli.run(cli.RunConfig.from_dict({cfg!r})))\n"
         )
         assert out.split() == ["1", "0"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    """The README's command list and example config match the code."""
+
+    def test_commands_list(self):
+        listed = re.search(r"Commands:(.*?)\.", README.read_text(), re.S).group(1)
+        assert tuple(re.findall(r"`([^`]+)`", listed)) == cli.COMMANDS
+
+    def test_example_config_parses(self):
+        example = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = RunConfig.from_dict(json.loads(example))
+        assert cfg.command == "verify" and cfg.degree_ladder == (30, 40, 50)

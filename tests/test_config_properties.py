@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorzeros.cli import COMMANDS, ConfigError, RunConfig
+from rotorzeros.cli import COMMANDS, CONFIG_KEYS, ConfigError, RunConfig
 
 HUGE = [10**400, -(10**400)]  # past the float range: float() overflows on them
 SCALARS = st.one_of(
@@ -48,13 +48,12 @@ NEAR_VALID = st.fixed_dictionaries(
         "jobs": st.one_of(st.integers(-2, 4), NUMBERS),
         "y": NUMBER_LISTS,
         "seed": NUMBERS,
-        "oracle": st.booleans(),
         "outputDir": st.text(max_size=6),
     },
 )
 # up to two keys, known or not, overwritten with any JSON value
 KEYS = st.one_of(
-    st.sampled_from(["command", "measure", "N", "D", "J", "degreeLadder", "tolerances", "backend", "jobs", "y", "seed"]),
+    st.sampled_from(CONFIG_KEYS),
     st.text(max_size=6),
 )
 CONFIGS = st.builds(lambda base, over: {**base, **over}, NEAR_VALID, st.dictionaries(KEYS, JSON, max_size=2))

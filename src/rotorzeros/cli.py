@@ -53,18 +53,62 @@ COMMANDS = ("laplace", "phi", "verify", "oracle-compare", "geometry-selftest",
 # sweep's default of one worker per CPU
 GRID_COMMANDS = ("verify", "sweep")
 
-# commands that never read the config's measure: they skip its validation
-# and have no rational backend
-MEASURELESS = ("geometry-selftest", "counterexample-scan")
+# commands that never read the config's measure, each with the config keys it
+# does read besides "command": they skip the measure's validation, have no
+# rational backend, and hash and require only those keys
+MEASURELESS = {
+    "geometry-selftest": ("seed",),
+    "counterexample-scan": ("D", "degreeLadder", "tolerances"),
+}
 
 # the keys a config file may set, top level and inside "tolerances"
 CONFIG_KEYS = ("command", "measure", "N", "D", "J", "degreeLadder", "tolerances",
                "outputDir", "seed", "backend", "jobs", "y")
 TOLERANCE_KEYS = ("axis", "drift")
+# the keys that hold JSON lists, and those whose values (or entries) are integers
+LIST_KEYS = ("N", "D", "J", "degreeLadder", "y")
+INTEGER_KEYS = ("N", "D", "degreeLadder", "jobs", "seed")
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (exit status 2)."""
+
+
+def _first_bool(value, key=""):
+    """The key of the first JSON boolean inside value, or None."""
+    if isinstance(value, bool):
+        return key
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((key, v) for v in value)
+    else:
+        return None
+    for k, v in items:
+        found = _first_bool(v, k)
+        if found is not None:
+            return found
+    return None
+
+
+def _check_types(data):
+    """Reject the values that from_dict's conversions would coerce without a word.
+
+    A string or an object where a list belongs would be iterated, a float
+    where an integer belongs truncated, and a boolean read as 0 or 1; no
+    config value is a boolean.
+    """
+    key = _first_bool(data)
+    if key is not None:
+        raise ConfigError(f"{key} must not be a boolean")
+    for key in LIST_KEYS:
+        if key in data and not isinstance(data[key], list):
+            raise ConfigError(f"{key} must be a JSON list, not {type(data[key]).__name__}")
+    for key in INTEGER_KEYS:
+        if key in data:
+            values = data[key] if key in LIST_KEYS else [data[key]]
+            if not all(isinstance(v, int) for v in values):
+                raise ConfigError(f"{key} must hold integers, not {data[key]!r}")
 
 
 def _finite(x):
@@ -102,6 +146,7 @@ class RunConfig:
         unknown += [f"tolerances.{k}" for k in tolerances if k not in TOLERANCE_KEYS]
         if unknown:
             raise ConfigError(f"unknown config key: {', '.join(map(repr, unknown))}")
+        _check_types(data)
         try:
             command = data["command"]
             if command not in COMMANDS:
@@ -117,16 +162,16 @@ class RunConfig:
             cfg = cls(
                 command=command,
                 measure=measure,
-                Ns=tuple(int(n) for n in data.get("N", cls.Ns)),
-                Ds=tuple(int(d) for d in data.get("D", default_D)),
+                Ns=tuple(data.get("N", cls.Ns)),
+                Ds=tuple(data.get("D", default_D)),
                 Js=tuple(coupling(j) for j in data.get("J", cls.Js)),
-                degree_ladder=tuple(int(m) for m in data.get("degreeLadder", cls.degree_ladder)),
+                degree_ladder=tuple(data.get("degreeLadder", cls.degree_ladder)),
                 axis_tol=float(tolerances.get("axis", cls.axis_tol)),
                 drift_tol=float(tolerances.get("drift", cls.drift_tol)),
                 output_dir=str(data.get("outputDir", cls.output_dir)),
-                seed=int(data.get("seed", cls.seed)),
+                seed=data.get("seed", cls.seed),
                 backend=backend,
-                jobs=int(data.get("jobs", jobs)),
+                jobs=data.get("jobs", jobs),
                 ys=tuple(float(y) for y in data.get("y", cls.ys)),
             )
         except ConfigError:
@@ -137,8 +182,9 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        read = MEASURELESS.get(self.command, CONFIG_KEYS)
         for name, values in (("N", self.Ns), ("D", self.Ds), ("J", self.Js)):
-            if not values:
+            if name in read and not values:
                 raise ConfigError(f"list {name} must be nonempty")
         if len(self.degree_ladder) < 2 and self.command in (*GRID_COMMANDS, "counterexample-scan"):
             raise ConfigError("degreeLadder needs at least two stages")
@@ -174,21 +220,22 @@ class RunConfig:
                 raise ConfigError("rational backend requires even D (integer Gamma)")
 
     def config_hash(self):
-        blob = json.dumps(
-            {
-                "command": self.command,
-                "measure": json.loads(self.measure.to_json()),
-                "N": list(self.Ns),
-                "D": list(self.Ds),
-                "J": [float(j) for j in self.Js],
-                "degreeLadder": list(self.degree_ladder),
-                "tolerances": {"axis": self.axis_tol, "drift": self.drift_tol},
-                "seed": self.seed,
-                "backend": self.backend,
-                "y": list(self.ys),
-            },
-            sort_keys=True,
-        )
+        """16 hex digits of a sha256 of the config; a measureless command hashes only what it reads."""
+        fields = {
+            "command": self.command,
+            "measure": json.loads(self.measure.to_json()),
+            "N": list(self.Ns),
+            "D": list(self.Ds),
+            "J": [float(j) for j in self.Js],
+            "degreeLadder": list(self.degree_ladder),
+            "tolerances": {"axis": self.axis_tol, "drift": self.drift_tol},
+            "seed": self.seed,
+            "backend": self.backend,
+            "y": list(self.ys),
+        }
+        if self.command in MEASURELESS:
+            fields = {k: fields[k] for k in ("command", *MEASURELESS[self.command])}
+        blob = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

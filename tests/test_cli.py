@@ -87,6 +87,16 @@ class TestConfig:
         c = RunConfig.from_dict(make_config(tmp_path, seed=8)).config_hash()
         assert a == b and a != c
 
+    def test_scan_hash_ignores_the_keys_it_never_reads(self, tmp_path):
+        def scan_hash(**overrides):
+            data = make_config(tmp_path, command="counterexample-scan", D=[1], degreeLadder=[12, 16])
+            return RunConfig.from_dict({**data, **overrides}).config_hash()
+
+        # the scan reads neither N, J, y, seed nor the measure, so it needs no N or J
+        assert scan_hash(N=[2]) == scan_hash(N=[3]) == scan_hash(N=[], J=[], seed=8)
+        assert scan_hash(N=[2]) != scan_hash(degreeLadder=[12, 20])
+        assert scan_hash() != scan_hash(tolerances={"drift": 1e-7})
+
 
 class TestRun:
     def test_verify_writes_artifacts_and_passes(self, tmp_path):
@@ -514,6 +524,32 @@ class TestMainEntry:
         assert f"unknown config key: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # each used to be coerced: "23" ran N = (2, 3), the ladder ran
+            # (30, 40) and true read as 1
+            ({"N": "23"}, "N must be a JSON list, not str"),
+            ({"J": {"a": 1}}, "J must be a JSON list, not dict"),
+            ({"y": 0.5}, "y must be a JSON list, not float"),
+            ({"degreeLadder": [30.7, 40.2]}, "degreeLadder must hold integers"),
+            ({"D": [2.0]}, "D must hold integers"),
+            ({"jobs": 2.5}, "jobs must hold integers"),
+            ({"seed": "7"}, "seed must hold integers"),
+            ({"jobs": True}, "jobs must not be a boolean"),
+            ({"N": [True]}, "N must not be a boolean"),
+            ({"J": [0.5, False]}, "J must not be a boolean"),
+            ({"tolerances": {"drift": True}}, "tolerances.drift must not be a boolean"),
+            ({"measure": {"kind": "sphere", "radius": True}}, "measure.radius must not be a boolean"),
+        ],
+    )
+    def test_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, overrides, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_oracle_point_rejected(self, tmp_path, y):
         # a NaN used to exit 0 with a row of nan values in oracle_compare.csv
@@ -577,15 +613,23 @@ class TestLazyScipy:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["versions"]["scipy"] == scipy.__version__
 
-    def test_density_moment_imports_scipy_integrate(self):
+    def test_density_moment_leaves_scipy_integrate_unloaded(self):
+        # moments call QUADPACK's extension directly; a later scipy.integrate
+        # import reuses that extension module and its quad keeps working
         out = _fresh_python(
             "import sys\n"
             "from rotorzeros import measures\n"
+            "measures.laplace_transform(measures.RadialMeasure.sphere(1.0), 2, 10)\n"
             "print('scipy' in sys.modules)\n"
-            "measures.radial_moment(measures.RadialMeasure.density([1.0], [0.0, 0.0, 1.0]), 1)\n"
-            "print('scipy.integrate' in sys.modules, measures.integrate.__name__)\n"
+            "gauss = measures.RadialMeasure.density([1.0], [0.0, 0.0, 1.0])\n"
+            "m = measures.radial_moment(gauss, 1)\n"
+            "print('scipy.integrate' in sys.modules, abs(m - 0.5) < 1e-12)\n"
+            "from scipy import integrate\n"
+            "f = measures._compiled(gauss).integrand(3)\n"
+            "args = dict(epsabs=0.0, epsrel=1e-12, limit=400)\n"
+            "print(integrate.quad(f, 0.0, 4.0, **args) == measures.integrate.quad(f, 0.0, 4.0, **args))\n"
         )
-        assert out.split() == ["False", "True", "scipy.integrate"]
+        assert out.split() == ["False", "False", "True", "True"]
 
 
 def blas_threads():

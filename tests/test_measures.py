@@ -204,6 +204,74 @@ class TestLazyIntegrate:
             measures.quad
 
 
+class TestQuadpackBinding:
+    """measures.integrate.quad calls QUADPACK directly and keeps scipy.integrate.quad's bits."""
+
+    @staticmethod
+    def _through(monkeypatch, binding, compute):
+        monkeypatch.setattr(measures, "integrate", binding)
+        measures._compiled.cache_clear()
+        try:
+            return compute()
+        finally:
+            measures._compiled.cache_clear()
+
+    @pytest.mark.parametrize("a", [-5.0, 0.0, 1.5])
+    def test_scan_moments_match_scipy_quad_bit_for_bit(self, monkeypatch, a):
+        from scipy import integrate
+
+        def moments():  # m_k at k = -1/2 .. 59.5, the scan's top rung
+            return laplace_transform(counterexample_measure(a), 1, 60).coefficients
+
+        binding = measures.integrate
+        assert binding is not integrate
+        ours = self._through(monkeypatch, binding, moments)
+        assert ours == self._through(monkeypatch, integrate, moments)
+
+    def test_laplace_direct_matches_scipy_quad_bit_for_bit(self, monkeypatch):
+        from scipy import integrate
+
+        from rotorzeros.oracles import laplace_direct
+
+        def value():
+            return laplace_direct(counterexample_measure(0.0), 1, -1.5)
+
+        ours = self._through(monkeypatch, measures.integrate, value)
+        assert ours == self._through(monkeypatch, integrate, value)
+
+    def test_nonzero_ier_warns_through_scipy(self):
+        from scipy import integrate
+
+        def narrow(x):
+            return math.exp(-100.0 * x * x)
+
+        args = dict(epsabs=0.0, epsrel=1e-12, limit=1)  # one interval: ier = 1
+        with pytest.warns(integrate.IntegrationWarning, match="maximum number of subdivisions"):
+            ours = measures.integrate.quad(narrow, 0.0, 10.0, **args)
+        with pytest.warns(integrate.IntegrationWarning):
+            assert ours == integrate.quad(narrow, 0.0, 10.0, **args)
+        with pytest.raises(ValueError, match="invalid"):
+            measures.integrate.quad(narrow, 0.0, 10.0, epsabs=0.0, epsrel=1e-12, limit=0)
+
+    def test_missing_extension_falls_back_to_scipy_integrate(self, monkeypatch):
+        from scipy import integrate
+
+        measures.integrate  # bound first, so that monkeypatch restores it afterwards
+        find_spec = measures.importlib.machinery.PathFinder.find_spec
+
+        def no_quadpack(name, path=None, target=None):
+            return None if name == "_quadpack" else find_spec(name, path, target)
+
+        monkeypatch.setattr(measures.importlib.machinery.PathFinder, "find_spec", no_quadpack)
+        monkeypatch.delitem(measures.sys.modules, "scipy.integrate._quadpack", raising=False)
+        monkeypatch.delattr(measures, "integrate")
+        measures._compiled.cache_clear()
+        assert measures._load_qagse() is None
+        assert measures.integrate is integrate
+        assert radial_moment(GAUSS, 1) == pytest.approx(0.5, rel=1e-12)
+        measures._compiled.cache_clear()
+
+
 class TestCompiledDensity:
     """The compiled scalar integrand keeps every bit of the numpy profile path."""
 

@@ -183,32 +183,34 @@ class RunConfig:
 
     def validate(self):
         read = MEASURELESS.get(self.command, CONFIG_KEYS)
-        for name, values in (("N", self.Ns), ("D", self.Ds), ("J", self.Js)):
-            if name in read and not values:
-                raise ConfigError(f"list {name} must be nonempty")
-        if len(self.degree_ladder) < 2 and self.command in (*GRID_COMMANDS, "counterexample-scan"):
-            raise ConfigError("degreeLadder needs at least two stages")
-        if self.command == "counterexample-scan" and self.Ds != (1,):
-            raise ConfigError("counterexample-scan runs at D = 1 only")
-        if any(b <= a for a, b in zip(self.degree_ladder, self.degree_ladder[1:])):
-            raise ConfigError("degreeLadder must be strictly increasing")
-        if any(m < 0 for m in self.degree_ladder):
-            raise ConfigError("degreeLadder entries must be nonnegative")
-        if not all(_finite(j) for j in self.Js):
-            raise ConfigError("couplings J must be finite")
-        if self.measure.kind == "sphere" and not _finite(self.measure.radius):
-            raise ConfigError("a sphere radius must be finite")
-        if not all(math.isfinite(y) for y in self.ys):
-            raise ConfigError("oracle points y must be finite")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        for name, tol in (("axis", self.axis_tol), ("drift", self.drift_tol)):
-            if not 0 <= tol < 1:
-                raise ConfigError(f"tolerances.{name} must lie in [0, 1)")
-        if any(n < 1 for n in self.Ns):
-            raise ConfigError("chain lengths must be positive")
-        if any(d < 1 for d in self.Ds):
-            raise ConfigError("dimensions must be positive")
+        ladder, scan = self.degree_ladder, "counterexample-scan"
+        # (key, fault, message): a key the command never reads is not checked
+        checks = (
+            ("N", not self.Ns, "list N must be nonempty"),
+            ("D", not self.Ds, "list D must be nonempty"),
+            ("J", not self.Js, "list J must be nonempty"),
+            ("degreeLadder", not ladder, "list degreeLadder must be nonempty"),
+            ("degreeLadder", len(ladder) < 2 and self.command in (*GRID_COMMANDS, scan),
+             "degreeLadder needs at least two stages"),
+            ("D", self.command == scan and self.Ds != (1,),
+             "counterexample-scan runs at D = 1 only"),
+            ("degreeLadder", any(b <= a for a, b in zip(ladder, ladder[1:])),
+             "degreeLadder must be strictly increasing"),
+            ("degreeLadder", any(m < 0 for m in ladder),
+             "degreeLadder entries must be nonnegative"),
+            ("J", not all(_finite(j) for j in self.Js), "couplings J must be finite"),
+            ("measure", self.measure.kind == "sphere" and not _finite(self.measure.radius),
+             "a sphere radius must be finite"),
+            ("y", not all(math.isfinite(y) for y in self.ys), "oracle points y must be finite"),
+            ("jobs", self.jobs < 1, "jobs must be at least 1"),
+            ("tolerances", not 0 <= self.axis_tol < 1, "tolerances.axis must lie in [0, 1)"),
+            ("tolerances", not 0 <= self.drift_tol < 1, "tolerances.drift must lie in [0, 1)"),
+            ("N", any(n < 1 for n in self.Ns), "chain lengths must be positive"),
+            ("D", any(d < 1 for d in self.Ds), "dimensions must be positive"),
+        )
+        for key, fault, message in checks:
+            if fault and key in read:
+                raise ConfigError(message)
         if self.backend not in ("float64", "rational"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend == RATIONAL:
@@ -348,11 +350,10 @@ def run(cfg: RunConfig) -> int:
             return 2
         certified = validation.certified_lee_yang
 
-    M_top = max(cfg.degree_ladder)
     try:
         if cfg.command == "laplace":
             for D in cfg.Ds:
-                v = laplace_transform(cfg.measure, D, M_top, cfg.backend)
+                v = laplace_transform(cfg.measure, D, max(cfg.degree_ladder), cfg.backend)
                 _write_artifact(outdir, f"laplace_{D}.csv", v.to_csv(), cfg_hash)
         elif cfg.command == "phi":
             rungs = sorted(set(cfg.degree_ladder))[-2:]  # the top rung and the one below, if any

@@ -9,8 +9,10 @@ Z_N(z) = phi_N(z^2).
 
 The chain driver takes one fast step per coefficient field: a Taylor
 re-expansion of Psi_{N-1} around the diagonal, which needs only univariate
-transforms, on dense float tensors or in exact integers.  The operator
-construction (``psi_two`` and ``psi_step``) applies the nilpotent
+transforms, on dense float tensors or in exact integers.  The rational
+chain carries Psi_N between steps as integer rows over one least common
+denominator and makes Fractions only for phi_N and ``psi_kernel``.  The
+operator construction (``psi_two`` and ``psi_step``) applies the nilpotent
 differential-operator exponentials literally on sparse polynomials; it is
 the paper's construction and the exact reference the tests check the fast
 step against, term by term.
@@ -37,7 +39,6 @@ from .polys import (
     OperatorTerm,
     TruncatedPoly,
     coerce_scalar,
-    diagonal_series,
     exp_operator,
     merge_2_3,
 )
@@ -277,42 +278,47 @@ def _int_rows(n1):
     return [[[0] * n1 for _ in range(n1)] for _ in range(n1)]
 
 
-def _advance_exact(v_coeffs, P, J, D, M):
-    """Rational-field version of _advance_float on sparse dicts.
+def _lowest(rows, den):
+    """Integer rows over den, brought to the least common denominator."""
+    g = math.gcd(den, *(x for plane in rows for row in plane for x in row))
+    if g > 1:
+        rows = [[[x // g for x in row] for row in plane] for plane in rows]
+    return rows, den // g
 
-    The J != 0 step runs in Python ints over one common denominator and
-    builds one Fraction per nonzero output term, so it returns exactly
-    the rationals of the step written out in Fractions.
+
+def _diagonal_sums(Pn, M):
+    """sums[n] of Pn[al][ga][be] over al + be + ga = n <= M."""
+    sums = [0] * (M + 1)
+    for al, plane in enumerate(Pn):
+        for ga, row in enumerate(plane[: M + 1 - al]):
+            _add_row(sums, al + ga, 1, row[: M + 1 - al - ga])
+    return sums
+
+
+def _advance_exact(v, P, J, D, M):
+    """Rational-field version of _advance_float, in Python ints.
+
+    v = (vn, dv) holds the new spin's transform as vn / dv, and
+    P = (Pn, dP) the kernel as Pn[al][ga][be] / dP, the coefficient of
+    zeta1^al zeta2^be zeta12^ga.  Returns the next kernel in the same form,
+    over its least common denominator, so it is exactly the step written
+    out in Fractions.
     """
+    vn, dv = v
+    Pn, dP = P
     J = coerce_scalar(J, RATIONAL)
+    n1 = M + 1
     if J == 0:
         # the step collapses to v(zeta1) times the diagonal of the kernel
-        diag = {}
-        for (al, be, ga), c in P.items():
-            n = al + be + ga
-            diag[n] = diag.get(n, Fraction(0)) + c
-        out = {}
-        for n1, cv in enumerate(v_coeffs):
-            if cv == 0 or n1 > M:
-                continue
-            for n2, c in diag.items():
-                if c != 0 and n1 + n2 <= M:
-                    key = (n1, n2, 0)
-                    out[key] = out.get(key, Fraction(0)) + cv * c
-        return {k: v for k, v in out.items() if v != 0}
+        diag = _diagonal_sums(Pn, M)
+        out = _int_rows(n1)
+        for al, x in enumerate(vn):
+            if x:
+                out[al][0][: n1 - al] = [x * d for d in diag[: n1 - al]]
+        return _lowest(out, dP * dv)
     if int(D) != D:
         raise ValueError(f"dimension must be a positive integer, got {D}")
     D = int(D)
-    # P = Pn / dP, v = vn / dv and J^e = Jn^e Jd^(E-e) / Jd^E with E >= every
-    # exponent used, so the output is out / (dP dv Jd^E) with integer out.
-    dP = math.lcm(*(c.denominator for c in P.values()))
-    dv = math.lcm(*(c.denominator for c in v_coeffs))
-    top = max((sum(key) for key in P), default=0)
-    n1 = max(top, M) + 1
-    # Pn[al][ga] is a row over be.
-    Pn = _int_rows(n1)
-    for (al, be, ga), c in P.items():
-        Pn[al][ga][be] = c.numerator * (dP // c.denominator)
     # Diagonal derivative data with the 1/(i! k!) of the B split folded in,
     # A[i][k][n] = sum of C(al, i) C(ga, k) Pn[al][ga][be] over
     # al+be+ga = n+i+k: first along al into T[i][ga] (a row over
@@ -341,40 +347,40 @@ def _advance_exact(v_coeffs, P, J, D, M):
                 for j in range(i + 1):
                     _add_row(B[i - j][k + j], 0, math.comb(i, j) << j, row)
     # Laplacian lifts V_p of the new spin's transform, times dv.
-    V = [[c.numerator * (dv // c.denominator) for c in v_coeffs]]
-    for p in range(1, M + 1):
+    V = [vn]
+    for p in range(1, n1):
         prev = V[-1]
         V.append([2 * (n + 1) * (D + 2 * n) * prev[n + 1] for n in range(len(prev) - 1)])
-    # B[p][m] is nonzero only for p + m <= top, so m + 2p <= 2 top
-    E = 2 * top
+    # J^e = Jn^e Jd^(E-e) / Jd^E, and B[p][m] is nonzero only for
+    # p + m <= M, so m + 2p <= E = 2M; the output is over dP dv Jd^E.
+    E = 2 * M
     Jn, Jd = J.numerator, J.denominator
     Jpow = [Jn**e * Jd ** (E - e) for e in range(E + 1)]
-    fact = [math.factorial(k) for k in range(M + 1)]
-    # out[n1v][c][n2] is the term of zeta1^n1v zeta2^n2 zeta12^c
-    out = _int_rows(M + 1)
-    for p in range(min(M + 1, len(V))):
-        Vp = V[p]
-        for m in range(M + 1):
-            Bpm = B[p][m]
-            if not any(Bpm):
-                continue
-            for a in range(m // 2 + 1):
-                q, c = m - a, m - 2 * a
-                L = M - q
-                # m! 2^(m-2a) / (a! (m-2a)!) J^(m+2p), times Jd^E
-                w = (fact[m] // (fact[a] * fact[c]) << c) * Jpow[m + 2 * p]
-                for n1v in range(min(L + 1, len(Vp) - q)):
-                    vq = Vp[n1v + q] * math.perm(n1v + q, q)
-                    if vq:
-                        _add_row(out[n1v][c], a, w * vq, Bpm[: L - n1v + 1])
-    den = dP * dv * Jd**E
-    return {
-        (n1v, n2, c): Fraction(num, den)
-        for n1v, plane in enumerate(out)
-        for c, row in enumerate(plane)
-        for n2, num in enumerate(row)
-        if num
-    }
+    fact = [math.factorial(k) for k in range(n1)]
+    # out[al][c][n2] is the term of zeta1^al zeta2^n2 zeta12^c.  The term of
+    # (p, m, a) at zeta1^(s-q), q = m-a, takes perm(s, q) V_p[s] and the
+    # first M-s+1 entries of B[p][m], so the sum over p is done first:
+    # G[s] = sum_p J^(m+2p) V_p[s] B[p][m][: M-s+1].
+    out = _int_rows(n1)
+    for m in range(n1):
+        live = [p for p in range(n1 - m) if any(B[p][m])]
+        lo = (m + 1) // 2  # the least q = m - a
+        G = {}
+        for s in range(lo, n1):
+            row = [0] * (n1 - s)
+            for p in live:
+                if s < len(V[p]) and V[p][s]:
+                    _add_row(row, 0, Jpow[m + 2 * p] * V[p][s], B[p][m][: n1 - s])
+            if any(row):
+                G[s] = row
+        for a in range(m // 2 + 1):
+            q, c = m - a, m - 2 * a
+            # m! 2^(m-2a) / (a! (m-2a)!); perm(s, q) is the derivative weight
+            w = fact[m] // (fact[a] * fact[c]) << c
+            for s, row in G.items():
+                if s >= q:
+                    _add_row(out[s - q][c], a, w * math.perm(s, q), row)
+    return _lowest(out, dP * dv * Jd**E)
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +398,25 @@ def _chain(v: LaplaceSeries, J, D):
     """Grow the chain from the transform v one spin at a time.
 
     Yields (kernel, diagonal) for N = 1, 2, 3, ...: Psi_N in the field's
-    own form (a pair-ring polynomial of Fractions, or a dense float tensor)
-    and the M+1 coefficients of phi_N.  At N = 1 the kernel is v(g11).
+    own form (integer rows Pn[a1][a12][a2] over one denominator dP, as the
+    pair (Pn, dP), or a dense float tensor P[a1, a2, a12]) and the M+1
+    coefficients of phi_N.  At N = 1 the kernel is v(g11).
     """
     M = v.truncation_degree
     if v.field == RATIONAL:
-        kernel, diagonal = _series_poly(v, "g11", PAIR_VARS), diagonal_series
+        dv = math.lcm(*(c.denominator for c in v.coefficients))
+        vn = [c.numerator * (dv // c.denominator) for c in v.coefficients]
+        Pn = _int_rows(M + 1)
+        for al, x in enumerate(vn):
+            Pn[al][0][0] = x
+        kernel = Pn, dv
 
-        def advance(psi):
-            return TruncatedPoly(
-                PAIR_VARS, _advance_exact(v.coefficients, psi.terms, J, D, M), M, RATIONAL
-            )
+        def diagonal(P):
+            Pn, dP = P
+            return [Fraction(x, dP) for x in _diagonal_sums(Pn, M)]
+
+        def advance(P):
+            return _advance_exact((vn, dv), P, J, D, M)
 
     else:
         v_arr = np.array([float(c) for c in v.coefficients])
@@ -416,11 +430,9 @@ def _chain(v: LaplaceSeries, J, D):
             return _advance_float(v_arr, P, float(J), int(D), M)
 
     yield kernel, tuple(v.coefficients)
-    zero = coerce_scalar(0, v.field)
     while True:
         kernel = advance(kernel)
-        diag = diagonal(kernel)
-        yield kernel, tuple(diag) + (zero,) * (M + 1 - len(diag))
+        yield kernel, tuple(diagonal(kernel))
 
 
 def _chain_series(v: LaplaceSeries, Ns, J, D):
@@ -461,8 +473,16 @@ def psi_kernel(v: LaplaceSeries, N, J, D) -> TruncatedPoly:
     if N < 2 or int(N) != N:
         raise ValueError("the two-boundary kernel needs at least two spins")
     kernel, _ = next(itertools.islice(_chain(v, J, D), int(N) - 1, None))
-    if isinstance(kernel, TruncatedPoly):
-        return kernel
+    if v.field == RATIONAL:
+        Pn, dP = kernel
+        terms = {
+            (al, be, ga): Fraction(x, dP)
+            for al, plane in enumerate(Pn)
+            for ga, row in enumerate(plane)
+            for be, x in enumerate(row)
+            if x
+        }
+        return TruncatedPoly(PAIR_VARS, terms, v.truncation_degree, RATIONAL)
     terms = {
         (int(a), int(b), int(c)): float(kernel[a, b, c]) for a, b, c in zip(*np.nonzero(kernel))
     }

@@ -97,6 +97,34 @@ class TestConfig:
         assert scan_hash(N=[2]) != scan_hash(degreeLadder=[12, 20])
         assert scan_hash() != scan_hash(tolerances={"drift": 1e-7})
 
+    @pytest.mark.parametrize(
+        "overrides", [{"N": [0]}, {"J": [float("nan")]}, {"y": [float("inf")]}, {"jobs": 0}]
+    )
+    def test_range_checks_skip_the_keys_a_command_never_reads(self, tmp_path, overrides):
+        # the scan reads none of these keys, so they neither fail it nor
+        # change its hash; verify reads them all and still exits 2
+        scan = make_config(tmp_path, command="counterexample-scan", D=[1], degreeLadder=[12, 16])
+        hashed = RunConfig.from_dict({**scan, **overrides}).config_hash()
+        assert hashed == RunConfig.from_dict(scan).config_hash()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["laplace", "phi", "oracle-compare"])
+    def test_empty_ladder_exits_2(self, tmp_path, command):
+        # each of these commands takes its top rung, and used to raise on []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, degreeLadder=[])))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_geometry_selftest_never_reads_the_ladder(self, tmp_path, monkeypatch):
+        # it used to raise on an empty ladder, a key it never reads
+        monkeypatch.setattr(cli, "self_test", lambda seed: {"stub": {"pass": True}})
+        cfg = RunConfig.from_dict(make_config(tmp_path, command="geometry-selftest", degreeLadder=[]))
+        assert run(cfg) == 0
+
 
 class TestRun:
     def test_verify_writes_artifacts_and_passes(self, tmp_path):

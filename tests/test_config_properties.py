@@ -1,9 +1,14 @@
-"""Property: any JSON-shaped config parses to a RunConfig or raises ConfigError."""
+"""Properties of configs: any JSON-shaped config parses to a RunConfig or
+raises ConfigError, and a small valid verify config runs to an exit status."""
+
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorzeros.cli import COMMANDS, CONFIG_KEYS, ConfigError, RunConfig
+from rotorzeros.cli import COMMANDS, CONFIG_KEYS, ConfigError, RunConfig, main
 
 HUGE = [10**400, -(10**400)]  # past the float range: float() overflows on them
 SCALARS = st.one_of(
@@ -68,3 +73,33 @@ def test_from_dict_returns_config_or_raises_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# small valid verify configs, in both backends
+RUNGS = st.integers(0, 8).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 10)))
+VERIFY_CONFIGS = st.fixed_dictionaries(
+    {
+        "command": st.just("verify"),
+        "measure": st.fixed_dictionaries(
+            {"kind": st.just("sphere"), "radius": st.sampled_from([0.5, 1, 2])}
+        ),
+        "N": st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+        "D": st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2, unique=True),
+        # one-decimal couplings in [-2, 2], 0 included
+        "J": st.lists(st.integers(-20, 20).map(lambda k: k / 10), min_size=1, max_size=2, unique=True),
+        "degreeLadder": RUNGS.map(list),
+        "backend": st.sampled_from(["float64", "rational"]),
+        "jobs": st.just(1),
+    }
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=VERIFY_CONFIGS)
+def test_valid_verify_config_ends_in_a_status(data):
+    # 0 verified, 1 violated in the theorem regime, 3 a recorded numeric
+    # failure; an exception escaping main is a bug
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**data, "outputDir": str(Path(tmp) / "out")}))
+        assert main(["--config", str(path)]) in (0, 1, 3)

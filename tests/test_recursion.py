@@ -1,6 +1,7 @@
 """Tests for the transfer recursion: operators, psi builders, the fast step."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -198,13 +199,33 @@ class TestEngineEquivalence:
         # the three coordinates, so compare the kernels term by term
         rng = np.random.default_rng(41)
         coeffs = [Fraction(int(rng.integers(1, 7)), 3) for _ in range(4)]
-        v = surrogate(coeffs, 4, pad_to=9)
-        for J in (Fraction(3, 7), Fraction(-7, 3), Fraction(5)):
-            for N in (2, 3):
+        # cap 12 = 3 N at N = 4, so neither construction truncates
+        v = surrogate(coeffs, 4, pad_to=12)
+        for J in (Fraction(3, 7), Fraction(-7, 3), Fraction(5), Fraction(0)):
+            for N in (2, 3, 4):
                 op = operator_kernel(v, N, J, 4)
                 fast = psi_kernel(v, N, J, 4)
                 assert op == fast
                 assert all(type(c) is Fraction for c in fast.terms.values())
+
+    @pytest.mark.parametrize("J", [Fraction(1, 2), Fraction(-7, 3), Fraction(0)])
+    def test_exact_kernels_leave_the_chain_in_lowest_terms(self, J):
+        # Psi_N travels between steps as integer rows over one denominator,
+        # which must be the least common one: no factor common to all
+        coeffs = [Fraction(6, 5), Fraction(4, 9), Fraction(0), Fraction(2, 7)]
+        v = surrogate(coeffs, 4, pad_to=8)
+        for (Pn, dP), _ in itertools.islice(recursion._chain(v, J, 4), 5):
+            numerators = [x for plane in Pn for row in plane for x in row]
+            assert dP > 0 and math.gcd(dP, *numerators) == 1
+
+    def test_exact_chain_coefficients_pinned(self):
+        # sha256 of str() of the N = 2, 3, 4 coefficients, recorded before
+        # the exact step carried its kernel in integers
+        chain = phi_chain([2, 3, 4], 4, Fraction(1, 2), RadialMeasure.sphere(1), 20, RATIONAL)
+        text = str([chain[N].coefficients for N in (2, 3, 4)])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "ed50a3b980df37ac725d149118eccbda7c4e6c6971531a39347f656bfeec8d74"
+        assert all(type(c) is Fraction for N in (2, 3, 4) for c in chain[N].coefficients)
 
     def test_truncated_kernels_agree_on_stabilized_window(self):
         # with a genuinely truncated kernel the two schemes differ in the

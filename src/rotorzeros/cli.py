@@ -267,11 +267,19 @@ def _at(D, J):
         raise RuntimeError(f"D={D}, J={_fmt(J)}: {exc}") from exc
 
 
+def _solved_rungs(ladder):
+    """The rungs a command computes: the top one and the one below, if any.
+
+    stabilize_series solves only these two, and no artifact reads a lower rung.
+    """
+    return sorted(set(ladder))[-2:]
+
+
 def _stabilize_task(cfg: RunConfig, D, J):
     """Stabilized zeros of every N in cfg.Ns from one (D, J) chain, keyed (N, D, J)."""
     with _at(D, J):
         reports = stabilize_chain(
-            cfg.Ns, D, J, cfg.measure, cfg.degree_ladder,
+            cfg.Ns, D, J, cfg.measure, _solved_rungs(cfg.degree_ladder),
             tol=cfg.axis_tol, drift_tol=cfg.drift_tol, field=cfg.backend,
         )
     return {(N, D, J): rep for N, rep in reports.items()}
@@ -356,7 +364,7 @@ def run(cfg: RunConfig) -> int:
                 v = laplace_transform(cfg.measure, D, max(cfg.degree_ladder), cfg.backend)
                 _write_artifact(outdir, f"laplace_{D}.csv", v.to_csv(), cfg_hash)
         elif cfg.command == "phi":
-            rungs = sorted(set(cfg.degree_ladder))[-2:]  # the top rung and the one below, if any
+            rungs = _solved_rungs(cfg.degree_ladder)
             for D in cfg.Ds:
                 for J in cfg.Js:
                     with _at(D, J):

@@ -151,20 +151,31 @@ def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
 #   w[c] * (vq[c, i] * B[p, m, n2]),   vq[c, i] = perm(q+i, q) V_p[q+i],
 #   q = c+a,   w[c] = m! 2^(m-2a) / (a! (m-2a)!) * J^(m+2p).
 #
-# V_p vanishes past degree M-p and B[p, m] past M-p-m, so every nonzero
-# term lies in the box c <= cmax = M-p-2a, n2 <= cmax, i <= M-p-a, and one
-# strided slab update per (p, a) covers it.  vq is a Hankel window of V_p,
-# padded to width 2(M+1); out is laid out [c, j, i], the longest axis last;
-# rows past the last c with w != 0 and B[p, m] != 0 are cut.  The box also
-# reaches cells with c+i+j > M, which a cached mask zeroes at the end.
-# Every cell with c+i+j <= M gets the terms of the scalar loop over that
-# simplex, each formed as w * (vq * b) and summed with p ascending, then a
-# ascending.  The box's other terms there are exact +-0 products, and a
-# cell starts at +0.0 and is never -0.0, so the output is bit-for-bit the
-# loop's.  Do not reorder or fuse the sums over p and a: the CSV artifacts
-# write roots with repr, so a 1-ulp change shows.
+# V_p vanishes past degree M-p and B[p, m] past M-p-m, so row c of a
+# (p, a) slab can be nonzero only where n2 <= cmax-c and i <= M-p-a-c,
+# cmax = M-p-2a: a triangle that narrows as c grows.  The slab is cut into
+# blocks of _BLOCK_ROWS rows, and each block is one strided update over the
+# box of its first row lo: n2 <= cmax-lo and i <= M-p-a-lo.  vq is a
+# Hankel window of V_p (padded to width 2(M+1)) times perm, formed once per
+# p and sliced per (p, a); out is laid out [c, j, i], the longest axis
+# last.  Rows past the last nonzero w, or past the last nonzero row of
+# B[p], are cut.  The boxes also reach cells with c+i+j > M, which a
+# cached mask zeroes at the end.  Every cell with c+i+j <= M gets the
+# terms of the scalar loop over that simplex, each formed as w * (vq * b)
+# and summed with p ascending, then a ascending.  The boxes' other terms
+# there are exact +-0 products, the cells they skip would only have
+# received such terms, and a cell starts at +0.0 and is never -0.0, so the
+# output is bit-for-bit the loop's.  Do not reorder or fuse the sums over
+# p and a: the CSV artifacts write roots with repr, so a 1-ulp change
+# shows.
 #
 # _step_tables(M) and _past_degree(M) cache read-only tables per degree cap.
+
+
+# Rows per block of the float step's slab update: of 4, 6, 8, 10, 13 and
+# 16 rows and one block per slab, 8 was the fastest on one M = 50 step
+# (2-core Xeon, one BLAS thread).
+_BLOCK_ROWS = 8
 
 
 def _falling(n, k):
@@ -231,7 +242,8 @@ def _taylor_data(P, M):
     for j in range(n1):
         w = np.zeros(n1)
         w[j:] = (2.0**j) / (math.factorial(j) * fact[: n1 - j])
-        Bdata[: n1 - j, j:, :] += w[None, j:, None] * Adata[j:, : n1 - j, :]
+        # A[i, k] vanishes past n = M-i-k, so nothing lands past n = M-j
+        Bdata[: n1 - j, j:, : n1 - j] += w[None, j:, None] * Adata[j:, : n1 - j, : n1 - j]
     Bdata /= fact[:, None, None]
     return Bdata
 
@@ -249,21 +261,23 @@ def _advance_float(v_coeffs, P, J, D, M):
         V[p, : n1 - 1] = 2.0 * (n + 1) * (D + 2.0 * n) * V[p - 1, 1:n1]
     hankel = sliding_window_view(V, n1, axis=1)  # hankel[p, s, i] = V[p, s+i]
     Jpow = np.array([float(J) ** k for k in range(2 * M + 1)])
+    # w vanishes past J^last_k, and B[p] past row last_m[p] (-1: all zero)
+    last_k = np.flatnonzero(Jpow)[-1]
     live = Bdata.any(axis=2)
+    last_m = np.where(live.any(axis=1), M - np.argmax(live[:, ::-1], axis=1), -1)
     out = np.zeros((n1, n1, n1))  # laid out [c, j, i]
     for p in range(n1):
+        vq_p = perm * hankel[p, :n1]  # vq_p[q, i] = perm(q+i, q) V_p[q+i]
         for a in range((M - p) // 2 + 1):
-            # c = m - 2a runs over 0..cmax; blocks with no kept row are skipped
-            cmax = M - p - 2 * a
+            cmax, ni = M - p - 2 * a, M - p - a + 1
+            nc = min(cmax, last_m[p] - 2 * a, last_k - 2 * a - 2 * p) + 1
             w = C[2 * a : M - p + 1, a] * Jpow[2 * a + 2 * p : M + p + 1]
-            keep = np.flatnonzero((w != 0.0) & live[p, 2 * a : M - p + 1])
-            if not keep.size:
-                continue
-            nc, ni = keep[-1] + 1, M - p - a + 1
-            vq = perm[a : a + nc, :ni] * hankel[p, a : a + nc, :ni]
-            X = Bdata[p, 2 * a : 2 * a + nc, : cmax + 1, None] * vq[:, None, :]
-            X *= w[:nc, None, None]
-            out[:nc, a : a + cmax + 1, :ni] += X
+            for lo in range(0, nc, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, nc)
+                vq = vq_p[a + lo : a + hi, : ni - lo]
+                X = Bdata[p, 2 * a + lo : 2 * a + hi, : cmax - lo + 1, None] * vq[:, None, :]
+                X *= w[lo:hi, None, None]
+                out[lo:hi, a : a + cmax - lo + 1, : ni - lo] += X
     out[_past_degree(M)] = 0.0
     return out.transpose(2, 1, 0).copy()
 

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import rotorzeros
-from rotorzeros import cli
+from rotorzeros import cli, zeros
 from rotorzeros.cli import ConfigError, RunConfig, main, run
 from rotorzeros.measures import RadialMeasure
+from rotorzeros.recursion import phi_chain
 from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
 SPHERE_JSON = {"kind": "sphere", "radius": 1.0}
@@ -396,6 +397,26 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         [error] = report["errors"]
         assert error.startswith("numeric failure: D=2, J=1e+308: ")
+
+    def test_verify_computes_only_the_two_solved_rungs(self, tmp_path, monkeypatch):
+        # the ladder solves only its top two rungs, so a lower rung is never
+        # computed and leaves no trace in the artifacts
+        degrees = []
+
+        def counted(Ns, D, J, measure, M, field):
+            degrees.append(M)
+            return phi_chain(Ns, D, J, measure, M, field)
+
+        monkeypatch.setattr(zeros, "phi_chain", counted)
+        outputs = []
+        for name, ladder in (("three", [30, 40, 50]), ("two", [40, 50])):
+            grid = dict(N=[2, 3], D=[2, 3], J=[0.5, -0.7], degreeLadder=ladder)
+            assert run(RunConfig.from_dict(make_config(tmp_path, outputDir=str(tmp_path / name), **grid))) == 0
+            out = tmp_path / name
+            report = json.loads((out / "report.json").read_text())
+            outputs.append(({f.name: f.read_bytes() for f in out.glob("zeros_*.csv")}, report["verdicts"]))
+        assert set(degrees) == {40, 50}
+        assert len(outputs[0][0]) == 8 and outputs[0] == outputs[1]
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg1 = RunConfig.from_dict(

@@ -273,6 +273,13 @@ class TestFloatStepPinned:
         ("phi4", 2, 0.5): "6bbb42181e64021ab3cc8a52396cc68e",
     }
 
+    # the top rung of the verify grid, M = 50, at N = 3: the step's slab
+    # update there crosses the most row blocks
+    TOP_RUNG_PINS = {
+        (4, 1.0): "fef5454f5c1ff70536febc8e82e33c8e",
+        (3, -0.7): "0f0f30bec507895b2569cb9f9f4c4ca9",
+    }
+
     @staticmethod
     def digest(psi):
         h = hashlib.sha256()
@@ -293,6 +300,11 @@ class TestFloatStepPinned:
     @pytest.mark.parametrize("kind,D,J", sorted(WIDE_PINS))
     def test_wide_kernel_bits(self, kind, D, J):
         assert self.digest(self.wide_kernel(kind, D, J)) == self.WIDE_PINS[(kind, D, J)]
+
+    @pytest.mark.parametrize("D,J", sorted(TOP_RUNG_PINS))
+    def test_top_rung_kernel_bits(self, D, J):
+        v = laplace_transform(SPHERE, D, 50)
+        assert self.digest(psi_kernel(v, 3, J, D)) == self.TOP_RUNG_PINS[(D, J)]
 
     @pytest.mark.parametrize("kind,D,J", sorted(WIDE_PINS))
     def test_kernel_has_no_term_past_the_cap(self, kind, D, J):
@@ -318,7 +330,8 @@ def test_step_caches_stay_small():
 
 def test_float_step_working_set():
     # one M = 50 step, caches warm: its temporaries are a few 1 MB dense
-    # tensors, with no index tensors of that size beside them
+    # tensors, with no index tensors of that size beside them and no
+    # (M+1)^3 table of the lifts (vq is formed one p at a time)
     M = 50
     v = laplace_transform(SPHERE, 4, M).float_coefficients()
     P = np.zeros((M + 1, M + 1, M + 1))
@@ -330,7 +343,7 @@ def test_float_step_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 5 * 2**20
 
 
 class TestPhi:

@@ -39,7 +39,7 @@ from .measures import MeasureError, RadialMeasure, laplace_transform, validate_m
 from .oracles import phi_modal
 from .polys import RATIONAL
 from .recursion import phi_chain, stable_coefficient_count
-from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, stabilize_chain
+from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, solved_rungs, stabilize_chain
 
 SCHEMA_VERSION = 1
 
@@ -201,6 +201,8 @@ class RunConfig:
             ("J", not all(_finite(j) for j in self.Js), "couplings J must be finite"),
             ("measure", self.measure.kind == "sphere" and not _finite(self.measure.radius),
              "a sphere radius must be finite"),
+            ("measure", self.measure.kind == "tabulated" and 1 in self.Ds,
+             "tabulated profiles do not support D=1 (singular moment at s=0)"),
             ("y", not all(math.isfinite(y) for y in self.ys), "oracle points y must be finite"),
             ("jobs", self.jobs < 1, "jobs must be at least 1"),
             ("tolerances", not 0 <= self.axis_tol < 1, "tolerances.axis must lie in [0, 1)"),
@@ -267,19 +269,11 @@ def _at(D, J):
         raise RuntimeError(f"D={D}, J={_fmt(J)}: {exc}") from exc
 
 
-def _solved_rungs(ladder):
-    """The rungs a command computes: the top one and the one below, if any.
-
-    stabilize_series solves only these two, and no artifact reads a lower rung.
-    """
-    return sorted(set(ladder))[-2:]
-
-
 def _stabilize_task(cfg: RunConfig, D, J):
     """Stabilized zeros of every N in cfg.Ns from one (D, J) chain, keyed (N, D, J)."""
     with _at(D, J):
         reports = stabilize_chain(
-            cfg.Ns, D, J, cfg.measure, _solved_rungs(cfg.degree_ladder),
+            cfg.Ns, D, J, cfg.measure, solved_rungs(cfg.degree_ladder),
             tol=cfg.axis_tol, drift_tol=cfg.drift_tol, field=cfg.backend,
         )
     return {(N, D, J): rep for N, rep in reports.items()}
@@ -364,7 +358,7 @@ def run(cfg: RunConfig) -> int:
                 v = laplace_transform(cfg.measure, D, max(cfg.degree_ladder), cfg.backend)
                 _write_artifact(outdir, f"laplace_{D}.csv", v.to_csv(), cfg_hash)
         elif cfg.command == "phi":
-            rungs = _solved_rungs(cfg.degree_ladder)
+            rungs = solved_rungs(cfg.degree_ladder)
             for D in cfg.Ds:
                 for J in cfg.Js:
                     with _at(D, J):

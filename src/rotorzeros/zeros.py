@@ -168,7 +168,6 @@ class ZeroReport:
     verdicts: tuple
     stable: tuple
     gammas: tuple
-    truncation_degrees: tuple
     drift_per_root: tuple
     overall: str
     gamma_sum: float = 0.0
@@ -185,7 +184,7 @@ class ZeroReport:
         return "\n".join(lines) + "\n"
 
 
-def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, truncation_degrees=(), drifts=None, multiplicities=None):
+def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, drifts=None, multiplicities=None):
     """Classify roots and issue the overall Lee-Yang verdict.
 
     A root is negative-real only if |Im zeta| <= tol * (1 + |zeta|) and
@@ -222,7 +221,6 @@ def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, truncation_degrees=(), d
         tuple(verdicts),
         tuple(bool(s) for s in stable),
         tuple(gammas),
-        tuple(truncation_degrees),
         tuple(drifts),
         overall,
         gamma_sum,
@@ -235,23 +233,27 @@ def default_window(M):
     return min(M // 2, 30)
 
 
+def solved_rungs(ladder):
+    """The rungs a verdict reads: the top one and the one below, if any."""
+    return sorted(set(ladder))[-2:]
+
+
 def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
     """Ladder protocol on precomputed series {M: coefficients}.
 
-    Solves the full truncation at the top two stages, clusters
-    nearly-coincident roots, and marks a top-stage cluster stable when a
-    cluster of equal multiplicity in the stage below sits within
+    Solves the full truncation at the ``solved_rungs`` of the ladder,
+    clusters nearly-coincident roots, and marks a top-stage cluster stable
+    when a cluster of equal multiplicity in the stage below sits within
     ``drift_tol`` relative distance and every root of the cluster passed
-    its residual check.  Lower stages are only listed in
-    ``truncation_degrees``.  Only the first
+    its residual check.  Lower stages are ignored.  Only the first
     ``default_window(M)`` clusters are reported: beyond that the roots of
     a truncation carry no information about the entire function.
     """
-    degrees = sorted(series_by_degree)
-    if len(degrees) < 2:
+    rungs = solved_rungs(series_by_degree)
+    if len(rungs) < 2:
         raise ValueError("degree ladder needs at least two stages")
-    prev, top = [_cluster(find_roots(series_by_degree[M])) for M in degrees[-2:]]
-    top = top[: default_window(degrees[-1])]
+    prev, top = [_cluster(find_roots(series_by_degree[M])) for M in rungs]
+    top = top[: default_window(rungs[-1])]
     roots, mults, stable, drifts = [], [], [], []
     used = set()
     for zeta, mult, conv in top:
@@ -269,22 +271,17 @@ def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
         mults.append(mult)
         stable.append(bool(ok))
         drifts.append(best_drift if best is not None else math.inf)
-    report = classify_lee_yang(
-        roots,
-        tol=tol,
-        stable=stable,
-        truncation_degrees=tuple(degrees),
-        drifts=drifts,
-        multiplicities=mults,
-    )
-    return report
+    return classify_lee_yang(roots, tol=tol, stable=stable, drifts=drifts, multiplicities=mults)
 
 
 def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64"):
     """Run phi_chain over the truncation ladder and report stabilized zeros.
 
     Returns {N: ZeroReport} for every chain length in Ns; all lengths share
-    one recursion sweep per rung.
+    one recursion sweep per rung.  Every rung given is grown, so callers
+    that need only the verdicts pass ``solved_rungs(ladder)``; the
+    exact-chain benchmark passes its whole ladder and records each rung's
+    coefficients.  N = 1 is the single-spin transform: no recursion step.
     """
     degrees = sorted(set(int(m) for m in degree_ladder))
     if len(degrees) < 2:

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its artifact contract."""
 
 import ctypes
+import hashlib
 import inspect
 import json
 import os
@@ -22,6 +23,8 @@ from rotorzeros.recursion import phi_chain
 from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
 SPHERE_JSON = {"kind": "sphere", "radius": 1.0}
+# sha256 of counterexample_scan.csv at ladder (40, 60), default tolerances
+SCAN_CSV_SHA256 = "bcf6dc4b07e0d8892a4ecec0a62ae5452999e29ba3b88be8329e291e3d614634"
 
 
 def make_config(tmp_path, **overrides):
@@ -269,8 +272,27 @@ class TestRun:
             make_config(tmp_path, command="counterexample-scan", D=[1], degreeLadder=[40, 60])
         )
         assert run(cfg) == 0
-        body = (tmp_path / "out" / "counterexample_scan.csv").read_text()
-        assert "LeeYangViolated" in body
+        body = (tmp_path / "out" / "counterexample_scan.csv").read_bytes()
+        assert b"LeeYangViolated" in body
+        # the CSV's bits as recorded before the scan ran through stabilize_chain
+        assert hashlib.sha256(body).hexdigest() == SCAN_CSV_SHA256
+
+    def test_counterexample_scan_computes_only_the_two_solved_rungs(self, tmp_path, monkeypatch):
+        # the scan solves only its top two rungs, like verify, so a lower
+        # rung is never computed and the ladder [30, 40, 60] writes the
+        # CSV that test_counterexample_scan_command pins for [40, 60]
+        degrees = []
+
+        def counted(Ns, D, J, measure, M, field):
+            degrees.append(M)
+            return phi_chain(Ns, D, J, measure, M, field)
+
+        monkeypatch.setattr(zeros, "phi_chain", counted)
+        cfg = make_config(tmp_path, command="counterexample-scan", D=[1], degreeLadder=[30, 40, 60])
+        assert run(RunConfig.from_dict(cfg)) == 0
+        body = (tmp_path / "out" / "counterexample_scan.csv").read_bytes()
+        assert set(degrees) == {40, 60}
+        assert hashlib.sha256(body).hexdigest() == SCAN_CSV_SHA256
 
     def test_counterexample_scan_honours_tolerances(self, tmp_path):
         # a zero drift tolerance admits no stable root, so no violation
@@ -323,19 +345,25 @@ class TestRun:
         assert run(cfg) == 2
 
     def test_numeric_failure_lands_in_report(self, tmp_path):
-        # D=1 tabulated moments are singular: recorded, not crashed
-        grid = [[0.05 * k, float(np.exp(-((0.05 * k) ** 2)))] for k in range(200)]
-        cfg = RunConfig.from_dict(
-            make_config(
-                tmp_path,
-                command="laplace",
-                measure={"kind": "tabulated", "samples": grid},
-                D=[1],
-            )
-        )
+        # sphere coefficients r^n pass the float range at r = 1e300 only
+        # once the transform is built: recorded, not crashed
+        huge = {"kind": "sphere", "radius": 1e300}
+        cfg = RunConfig.from_dict(make_config(tmp_path, command="laplace", measure=huge))
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert any("numeric failure" in e for e in report["errors"])
+
+    @pytest.mark.parametrize("command", ["laplace", "phi", "verify"])
+    def test_tabulated_measure_at_one_dimension_exits_2(self, tmp_path, capsys, command):
+        # the D = 1 moment m_(-1/2) of a tabulated profile is singular at
+        # s = 0; the config alone shows it, so no work starts
+        grid = [[0.05 * k, float(np.exp(-((0.05 * k) ** 2)))] for k in range(200)]
+        cfg_path = tmp_path / "cfg.json"
+        tabulated = {"kind": "tabulated", "samples": grid}
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, measure=tabulated, D=[2, 1])))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "do not support D=1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_underflow_wall_exits_3(self, tmp_path):
         # D=2 sphere coefficients underflow to 0.0 past n ~ 88, so the

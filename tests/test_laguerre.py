@@ -134,16 +134,18 @@ class TestCounterexample:
         assert violation_witnesses(scan) == [by_a[2.0]]
 
     def test_scan_computes_each_moment_once(self, monkeypatch):
-        # the rung-40 coefficients are a prefix of the rung-60 ones, so one
-        # a at ladder (40, 60) needs m_k for 61 indices, not 41 + 61
+        # the rung-40 transform reads the moments the compiled profile kept,
+        # so from a cleared cache one a at ladder (40, 60) needs one
+        # quadrature for each of 61 moments, not 41 + 61
         calls = []
-        original = measures.radial_moment
+        quad = measures.integrate.quad
 
-        def counted(measure, k):
-            calls.append(k)
-            return original(measure, k)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
 
-        monkeypatch.setattr(measures, "radial_moment", counted)
+        monkeypatch.setattr(measures.integrate, "quad", counted)
+        measures._compiled.cache_clear()
         counterexample_scan(a_values=[2.0], ladder=(40, 60))
         assert len(calls) == 61
 

@@ -16,6 +16,7 @@ from rotorzeros.zeros import (
     classify_lee_yang,
     find_roots,
     newton_check,
+    solved_rungs,
     stabilize_chain,
     stabilize_series,
 )
@@ -167,6 +168,14 @@ class TestStabilize:
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
             stabilize_series({40: [1.0, 1.0]})
+
+    def test_only_the_solved_rungs_are_read(self):
+        assert solved_rungs([50, 30, 40, 40]) == [40, 50]
+        assert solved_rungs([30]) == [30]
+        # a lower rung, even one with other roots, leaves the report as it is
+        coeffs = [2.0, 3.0, 1.0]
+        ladder = {10: coeffs + [0.0] * 8, 12: coeffs + [0.0] * 10}
+        assert stabilize_series({8: [1.0, -1.0, 5.0], **ladder}) == stabilize_series(ladder)
 
     def test_gamma_sum_disclaimer(self):
         report = stabilize_chain([1], 2, 0.0, SPHERE, (40, 60))[1]

@@ -13,7 +13,7 @@ from .geometry import (
     in_L,
     preimage_pair,
 )
-from .laguerre import ClassEvidence, counterexample_scan, laguerre_evidence
+from .laguerre import counterexample_scan
 from .measures import (
     LaplaceSeries,
     MeasureError,
@@ -53,7 +53,6 @@ from .zeros import (
     ZeroReport,
     classify_lee_yang,
     find_roots,
-    newton_check,
     stabilize_chain,
 )
 

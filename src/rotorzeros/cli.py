@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .geometry import self_test
 from .laguerre import counterexample_scan, violation_witnesses
-from .measures import MeasureError, RadialMeasure, laplace_transform, validate_measure
+from .measures import MeasureError, RadialMeasure, _validated, laplace_transform
 from .oracles import phi_modal
 from .polys import RATIONAL
 from .recursion import phi_chain, stable_coefficient_count
@@ -346,7 +346,7 @@ def run(cfg: RunConfig) -> int:
 
     certified = None  # no certificate for a measure the command never reads
     if cfg.command not in MEASURELESS:
-        validation = validate_measure(cfg.measure)
+        validation = _validated(cfg.measure)
         if not validation.passed:
             print(f"measure failed validation: {validation.failures()}", file=sys.stderr)
             return 2

@@ -1,113 +1,25 @@
-"""Truncation-level evidence for membership in the Laguerre class.
+"""The D = 1 counterexample scan: a density whose transform leaves the axis.
 
-A series belongs to the class when all zeros are real and nonpositive
-(canonical form C zeta^m e^(alpha zeta) prod (1 + gamma_j zeta)); the
-class is closed under differentiation, so evidence is gathered per
-derivative order: a fast log-concavity screen (necessary) plus actual
-root localization on the truncation.  A truncation can never prove
-membership of the entire function, so results are labelled evidence,
-with a certified negative when stable off-axis roots appear.
-
-The D = 1 counterexample scan is a statement about chains: it runs the
-verify ladder (``stabilize_chain`` on the ``solved_rungs``) at N = 1.
+The quartic well exp(-a s - s (s - 1)^2) is a valid strongly isotropic
+profile outside the certified family.  Its D = 1 transform has stable
+off-axis zero pairs for part of the range of a, so the scan shows the
+verdicts are not vacuously Verified.  Each a runs the verify ladder
+(``stabilize_chain`` on the ``solved_rungs``) on the one-spin chain,
+N = 1 at J = 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .measures import RadialMeasure
 from .zeros import (
     AXIS_TOL,
     DRIFT_TOL,
     OFF_AXIS,
-    VERIFIED,
     VIOLATED,
-    _cluster,
-    classify_lee_yang,
-    find_roots,
-    newton_check,
     solved_rungs,
     stabilize_chain,
-    stabilize_series,
+    stabilize_series,  # noqa: F401 - unused here; bench/child.py captures the scan's reports through this name
 )
-
-PASS = "pass"
-FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
-
-# relative drift below which a root of the degree-window truncation counts
-# as matched in the degree-(window - 4) one; at evidence windows the
-# ladder's own DRIFT_TOL of 1e-8 turns some passes and fails inconclusive
-TRUST_DRIFT = 1e-6
-
-
-@dataclass(frozen=True)
-class ClassEvidence:
-    """Per-derivative-order check results for one series."""
-
-    checks: tuple  # (name, PASS | FAIL | INCONCLUSIVE)
-
-    @property
-    def overall(self):
-        if any(status == FAIL for _, status in self.checks):
-            return FAIL
-        if all(status == PASS for _, status in self.checks):
-            return PASS
-        return INCONCLUSIVE
-
-
-def _roots_status(coeffs, window, tol):
-    """Judge the zeros of the degree-``window`` truncation of ``coeffs``.
-
-    A polynomial that ends inside the window is not a truncation, so every
-    root cluster is judged.  A genuine truncation runs the verdict ladder on
-    degrees window - 4 and window at drift ``TRUST_DRIFT``: only matched
-    roots are judged, since the top roots of a truncation say nothing about
-    the entire function.  Either way a judged root that missed its residual
-    bar makes the order inconclusive.
-    """
-    if not any(coeffs[window + 1 :]):
-        clusters = _cluster(find_roots(coeffs, window))
-        if not clusters:
-            return PASS
-        if not all(conv for _z, _mult, conv in clusters):
-            return INCONCLUSIVE
-        overall = classify_lee_yang([z for z, _mult, _conv in clusters], tol=tol).overall
-    else:
-        low = max(window - 4, 1)
-        report = stabilize_series(
-            {low: coeffs[: low + 1], window: coeffs[: window + 1]}, tol=tol, drift_tol=TRUST_DRIFT
-        )
-        if any(d < TRUST_DRIFT and not s for d, s in zip(report.drift_per_root, report.stable)):
-            return INCONCLUSIVE
-        overall = report.overall
-    return {VERIFIED: PASS, VIOLATED: FAIL}.get(overall, INCONCLUSIVE)
-
-
-def laguerre_evidence(coefficients, window, depth=0, tol=AXIS_TOL) -> ClassEvidence:
-    """Check the truncation and its first ``depth`` derivatives.
-
-    Per order: the log-concavity screen on the first ``window``
-    coefficients, then root classification of the degree-``window``
-    truncation (``_roots_status``).  Real-rootedness survives
-    differentiation, so a fail at a deeper order is evidence against
-    membership at order zero as well.  The window must be at least 2, so
-    a truncation has a lower rung to be matched against.
-    """
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    coeffs = [float(c) for c in coefficients]
-    if len(coeffs) < window + depth + 1:
-        raise ValueError("series too short for requested window and depth")
-    checks = []
-    for order in range(depth + 1):
-        if order:
-            coeffs = [c * n for n, c in enumerate(coeffs)][1:]
-        newton_ok = all(ok for _, ok in newton_check(coeffs[: window + 1]))
-        checks.append((f"newton[{order}]", PASS if newton_ok else FAIL))
-        checks.append((f"roots-negative-real[{order}]", _roots_status(coeffs, window, tol)))
-    return ClassEvidence(tuple(checks))
 
 
 def counterexample_measure(a) -> RadialMeasure:

@@ -36,10 +36,10 @@ TABULATED = "tabulated"
 # until the integrand is below TAIL_DROP of its peak.
 QUAD_RTOL = 1e-12
 TAIL_DROP = 1e-16
-# Measure profiles kept compiled, each with its moments (about 14 kB for a
-# scan point at M = 60) and its quadrature-node values (about 36 kB there).
-# A run works through one measure at a time, so a few suffice; the scan over
-# the quartic well's a never returns to an old point.
+# Measures kept compiled and validated: a profile holds its moments (about
+# 14 kB for a scan point at M = 60) and its quadrature-node values (about 36 kB
+# there).  A run works through one measure at a time, so a few suffice; the
+# scan over the quartic well's a never returns to an old point.
 COMPILED_PROFILES = 8
 
 
@@ -298,6 +298,12 @@ def validate_measure(measure: RadialMeasure) -> MeasureValidation:
         checks.append(("known kind", False, f"kind={measure.kind!r}"))
     passed = all(ok for _, ok, _ in checks)
     return MeasureValidation(passed, tuple(checks), certified and passed)
+
+
+@functools.lru_cache(maxsize=COMPILED_PROFILES)
+def _validated(measure: RadialMeasure) -> MeasureValidation:
+    """validate_measure(measure), shared by a run's check and every rung's transform."""
+    return validate_measure(measure)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +579,7 @@ def laplace_transform(measure: RadialMeasure, D, M, field=FLOAT) -> LaplaceSerie
     tabulated profiles go through the radial moments m_{D/2+n-1}.  Rejects
     measures that fail validate_measure.
     """
-    report = validate_measure(measure)
+    report = _validated(measure)
     if not report.passed:
         raise MeasureError(
             f"measure {measure.label!r} failed validation: {report.failures()}"

@@ -414,16 +414,19 @@ def _chain(v: LaplaceSeries, J, D):
     Yields (kernel, diagonal) for N = 1, 2, 3, ...: Psi_N in the field's
     own form (integer rows Pn[a1][a12][a2] over one denominator dP, as the
     pair (Pn, dP), or a dense float tensor P[a1, a2, a12]) and the M+1
-    coefficients of phi_N.  At N = 1 the kernel is v(g11).
+    coefficients of phi_N.  N = 1 yields no kernel (None): its kernel
+    v(g11) is the seed of the first step, built only when that step is taken.
     """
     M = v.truncation_degree
     if v.field == RATIONAL:
         dv = math.lcm(*(c.denominator for c in v.coefficients))
         vn = [c.numerator * (dv // c.denominator) for c in v.coefficients]
-        Pn = _int_rows(M + 1)
-        for al, x in enumerate(vn):
-            Pn[al][0][0] = x
-        kernel = Pn, dv
+
+        def seed():
+            Pn = _int_rows(M + 1)
+            for al, x in enumerate(vn):
+                Pn[al][0][0] = x
+            return Pn, dv
 
         def diagonal(P):
             Pn, dP = P
@@ -434,8 +437,11 @@ def _chain(v: LaplaceSeries, J, D):
 
     else:
         v_arr = np.array([float(c) for c in v.coefficients])
-        kernel = np.zeros((M + 1, M + 1, M + 1))
-        kernel[:, 0, 0] = v_arr
+
+        def seed():
+            P = np.zeros((M + 1, M + 1, M + 1))
+            P[:, 0, 0] = v_arr
+            return P
 
         def diagonal(P):
             return list(_diag_from_tensor(P, M))
@@ -443,7 +449,8 @@ def _chain(v: LaplaceSeries, J, D):
         def advance(P):
             return _advance_float(v_arr, P, float(J), int(D), M)
 
-    yield kernel, tuple(v.coefficients)
+    yield None, tuple(v.coefficients)
+    kernel = seed()
     while True:
         kernel = advance(kernel)
         yield kernel, tuple(diagonal(kernel))

@@ -114,20 +114,6 @@ def find_roots(coefficients, window=None) -> RootSet:
     return RootSet(tuple(roots.tolist()), tuple(bool(b) for b in converged), tuple(residuals.tolist()))
 
 
-def newton_check(coefficients):
-    """Log-concavity a_k^2 >= a_{k-1} a_{k+1} at every interior index.
-
-    A necessary condition for a nonnegative-coefficient polynomial to be
-    real-rooted; a failure certifies a Lee-Yang violation of the
-    truncation, a pass alone is inconclusive.
-    """
-    c = [float(x) for x in coefficients]
-    out = []
-    for k in range(1, len(c) - 1):
-        out.append((k, c[k] * c[k] >= c[k - 1] * c[k + 1]))
-    return out
-
-
 def _cluster(rootset: RootSet, tol=CLUSTER_TOL):
     """Group nearly-coincident roots into (centroid, multiplicity) clusters.
 

@@ -214,7 +214,7 @@ class TestRun:
         # these commands never read the measure, so they neither validate it
         # nor report the default sphere's certificate beside their verdicts
         validated = []
-        monkeypatch.setattr(cli, "validate_measure", validated.append)
+        monkeypatch.setattr(cli, "_validated", validated.append)
         run(RunConfig.from_dict(make_config(tmp_path, command=command, **overrides)))
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["measure_certified_lee_yang"] is None

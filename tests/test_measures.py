@@ -10,6 +10,7 @@ import pytest
 
 from rotorzeros import measures
 from rotorzeros.laguerre import counterexample_measure
+from rotorzeros.zeros import find_roots
 from rotorzeros.measures import (
     FLOAT,
     RATIONAL,
@@ -80,6 +81,14 @@ class TestLaplaceTransform:
         bad = RadialMeasure.density([1.0], [0.0, 1.0], label="linear-tail")
         with pytest.raises(MeasureError):
             laplace_transform(bad, 2, 4)
+
+    def test_sphere_transform_strictly_log_concave(self):
+        # a_k^2 > a_(k-1) a_(k+1) at every interior k, exactly: the D = 2
+        # sphere's ratio is (k+1)^2 / k^2 (a necessary condition of the
+        # Laguerre class for nonnegative coefficients)
+        a = laplace_transform(RadialMeasure.sphere(1), 2, 22, RATIONAL).coefficients
+        assert all(type(c) is Fraction for c in a)
+        assert all(a[k] ** 2 > a[k - 1] * a[k + 1] for k in range(1, 22))
 
     def test_rational_tracks_pi_power(self):
         v = laplace_transform(SPHERE, 4, 2, RATIONAL)
@@ -164,6 +173,15 @@ class TestDimensionShift:
         assert list(lifted.coefficients) == [
             c * Fraction(4) ** m for c in base.coefficients
         ]
+
+    def test_derivative_roots_transfer_to_next_dimension(self):
+        # d/dzeta of the D kernel is the D+2 kernel over 4: stable roots match
+        v2 = laplace_transform(SPHERE, 2, 51)
+        v4 = laplace_transform(SPHERE, 4, 50)
+        dr = find_roots([c * n for n, c in enumerate(v2.coefficients)][1:], 50).roots
+        ur = find_roots(v4.coefficients, 50).roots
+        for a, b in zip(dr[:4], ur[:4]):
+            assert abs(a - b) <= 1e-8 * (1 + abs(b))
 
     def test_float_mode_identity(self):
         M = 25

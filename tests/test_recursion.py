@@ -211,10 +211,11 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("J", [Fraction(1, 2), Fraction(-7, 3), Fraction(0)])
     def test_exact_kernels_leave_the_chain_in_lowest_terms(self, J):
         # Psi_N travels between steps as integer rows over one denominator,
-        # which must be the least common one: no factor common to all
+        # which must be the least common one: no factor common to all.  The
+        # chain yields kernels from N = 2 on (N = 1 has none)
         coeffs = [Fraction(6, 5), Fraction(4, 9), Fraction(0), Fraction(2, 7)]
         v = surrogate(coeffs, 4, pad_to=8)
-        for (Pn, dP), _ in itertools.islice(recursion._chain(v, J, 4), 5):
+        for (Pn, dP), _ in itertools.islice(recursion._chain(v, J, 4), 1, 5):
             numerators = [x for plane in Pn for row in plane for x in row]
             assert dP > 0 and math.gcd(dP, *numerators) == 1
 
@@ -351,6 +352,21 @@ class TestPhi:
         series = phi_chain([1], 2, 0.7, SPHERE, 20)[1]
         v = laplace_transform(SPHERE, 2, 20)
         assert np.allclose(series.coefficients, v.coefficients, rtol=0)
+
+    @pytest.mark.parametrize("field", [FLOAT, RATIONAL])
+    def test_single_spin_builds_no_kernel(self, field):
+        # the dense seed Psi_1 = v(g11), (M+1)^3 entries, is built only
+        # when a step follows; a one-spin chain takes no step
+        M = 60
+        v = laplace_transform(RadialMeasure.sphere(1), 2, M, field)
+        tracemalloc.start()
+        try:
+            kernel, diag = next(recursion._chain(v, 0.5, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel is None and diag == v.coefficients
+        assert peak < 2**20  # the float seed alone is (M+1)^3 * 8 bytes = 1.8 MB
 
     @pytest.mark.parametrize("D", [2, 4])
     @pytest.mark.parametrize("N", [2, 3, 4, 5])

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import jn_zeros
 
 from rotorzeros import measures
-from rotorzeros.measures import RadialMeasure, laplace_transform
+from rotorzeros.measures import RadialMeasure, laplace_transform, validate_measure
 from rotorzeros.zeros import (
     INCONCLUSIVE,
     NEGATIVE_REAL,
@@ -15,7 +15,6 @@ from rotorzeros.zeros import (
     ZeroReport,
     classify_lee_yang,
     find_roots,
-    newton_check,
     solved_rungs,
     stabilize_chain,
     stabilize_series,
@@ -97,22 +96,6 @@ class TestResidualGate:
         assert report.overall == INCONCLUSIVE
 
 
-class TestNewtonCheck:
-    def test_real_rooted_passes(self):
-        assert all(ok for _, ok in newton_check([1, 3, 2]))
-
-    def test_boundary_equality_passes(self):
-        assert all(ok for _, ok in newton_check([1, 1, 1]))
-
-    def test_constructed_failure(self):
-        results = dict(newton_check([1, 1, 2]))
-        assert results[1] is False
-
-    def test_kernel_truncation_passes(self):
-        v = laplace_transform(SPHERE, 2, 22)
-        assert all(ok for _, ok in newton_check(v.coefficients))
-
-
 class TestClassify:
     def test_negative_reals_verified(self):
         report = classify_lee_yang([-1.0, -2.0])
@@ -176,6 +159,15 @@ class TestStabilize:
         coeffs = [2.0, 3.0, 1.0]
         ladder = {10: coeffs + [0.0] * 8, 12: coeffs + [0.0] * 10}
         assert stabilize_series({8: [1.0, -1.0, 5.0], **ladder}) == stabilize_series(ladder)
+
+    @pytest.mark.parametrize("D", [2, 4, 6])
+    def test_certified_density_verified(self, D):
+        # phi^4-type density: in the certified family for every dimension
+        phi4 = RadialMeasure.density([1.0], [0.0, 1.0, 1.0], label="phi4")
+        assert validate_measure(phi4).certified_lee_yang
+        report = stabilize_chain([1], D, 0.0, phi4, [40, 44])[1]
+        assert report.overall == VERIFIED
+        assert sum(report.stable) == {2: 4, 4: 3, 6: 2}[D]
 
     def test_gamma_sum_disclaimer(self):
         report = stabilize_chain([1], 2, 0.0, SPHERE, (40, 60))[1]

@@ -22,9 +22,8 @@ from .measures import (
     laplace_transform,
     radial_moment,
     validate_measure,
-    wd_series,
 )
-from .oracles import OracleResult, laplace_direct, phi_modal, z_direct_circle
+from .oracles import laplace_direct, phi_modal, z_direct_circle
 from .polys import (
     FLOAT,
     GRAM_VARS,
@@ -47,13 +46,13 @@ from .recursion import (
     psi_kernel,
     psi_step,
     psi_two,
-    stable_coefficient_count,
 )
 from .zeros import (
     ZeroReport,
     classify_lee_yang,
     find_roots,
     stabilize_chain,
+    stable_coefficient_count,
 )
 
 __version__ = "0.1.0"

@@ -38,8 +38,8 @@ from .laguerre import counterexample_scan, violation_witnesses
 from .measures import MeasureError, RadialMeasure, _validated, laplace_transform
 from .oracles import phi_modal
 from .polys import RATIONAL
-from .recursion import phi_chain, stable_coefficient_count
-from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, solved_rungs, stabilize_chain
+from .recursion import phi_chain
+from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, solved_rungs, stabilize_chain, stable_coefficient_count
 
 SCHEMA_VERSION = 1
 
@@ -184,6 +184,8 @@ class RunConfig:
     def validate(self):
         read = MEASURELESS.get(self.command, CONFIG_KEYS)
         ladder, scan = self.degree_ladder, "counterexample-scan"
+        # artifacts are named by _fmt(J), so two couplings must differ there
+        J_names = [_fmt(j) for j in self.Js if _finite(j)]
         # (key, fault, message): a key the command never reads is not checked
         checks = (
             ("N", not self.Ns, "list N must be nonempty"),
@@ -209,6 +211,10 @@ class RunConfig:
             ("tolerances", not 0 <= self.drift_tol < 1, "tolerances.drift must lie in [0, 1)"),
             ("N", any(n < 1 for n in self.Ns), "chain lengths must be positive"),
             ("D", any(d < 1 for d in self.Ds), "dimensions must be positive"),
+            ("N", len(set(self.Ns)) < len(self.Ns), "N entries must be distinct"),
+            ("D", len(set(self.Ds)) < len(self.Ds), "D entries must be distinct"),
+            ("J", len(set(J_names)) < len(J_names),
+             "J entries must differ in their first 6 significant digits, which name the artifacts"),
         )
         for key, fault, message in checks:
             if fault and key in read:

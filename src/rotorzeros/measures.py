@@ -185,7 +185,9 @@ class RadialMeasure:
         is the same either way.  Numbers are read as floats (or that
         Fraction), so a value that is not a number raises here.
         """
-        data = json.loads(text) if isinstance(text, str) else dict(text)
+        data = json.loads(text) if isinstance(text, str) else text
+        if not isinstance(data, dict):
+            raise MeasureError(f"a measure must be a JSON object, not {type(data).__name__}")
         kind = data.get("kind")
         label = data.get("label")
         if kind == SPHERE:
@@ -381,25 +383,23 @@ class LaplaceSeries:
 
 
 def _wd_coefficients(D, r, M, field):
-    if D < 1 or int(D) != D:
-        raise MeasureError(f"dimension must be a positive integer, got {D}")
-    D = int(D)
-    if M < 0:
-        raise MeasureError("truncation degree must be nonnegative")
+    """Sphere kernel w_D(zeta, r): c_n = r^(D/2+n-1) / (4^n n! Gamma(D/2+n)), n <= M.
+
+    The Laplace transform of the sphere delta up to the mass factor
+    pi^(D/2).  Exact in the rational field, where even D makes
+    Gamma(D/2+n) an integer factorial.  D is a positive integer and r a
+    positive radius, as ``laplace_transform`` checks.
+    """
     if field == RATIONAL:
         if D % 2 != 0:
             raise MeasureError("rational backend requires even D (integer Gamma)")
         r = Fraction(r)  # floats convert by their exact binary value
-        if r <= 0:
-            raise MeasureError("sphere parameter r must be positive")
         return [
             r ** (D // 2 + n - 1)
             / (Fraction(4) ** n * math.factorial(n) * math.factorial(D // 2 + n - 1))
             for n in range(M + 1)
         ]
     r = float(r)
-    if r <= 0:
-        raise MeasureError("sphere parameter r must be positive")
     coeffs = []
     for n in range(M + 1):
         if D % 2 == 0:
@@ -417,19 +417,6 @@ def _wd_coefficients(D, r, M, field):
         )
         coeffs.append(math.exp(log_c))
     return coeffs
-
-
-def wd_series(D, r, M, field=FLOAT) -> LaplaceSeries:
-    """Sphere kernel w_D(zeta, r) as a truncated series.
-
-    c_n = r^(D/2+n-1) / (4^n n! Gamma(D/2+n)); this is the Laplace
-    transform of the sphere delta up to the mass factor pi^(D/2).  Exact
-    in the rational backend, where even D makes Gamma(D/2+n) an integer
-    factorial; odd D is admitted in float mode only, supporting numerical
-    exploration outside the even-D regime.
-    """
-    coeffs = _wd_coefficients(D, r, M, field)
-    return LaplaceSeries(tuple(coeffs), int(D), M, f"w_{D}(r={r})", field)
 
 
 def _horner(coeffs):
@@ -576,8 +563,9 @@ def laplace_transform(measure: RadialMeasure, D, M, field=FLOAT) -> LaplaceSerie
     """Truncated series of v(zeta, D) = pi^(D/2) * integral w_D(zeta, r) tau(r) dr.
 
     Sphere profiles reduce exactly to the kernel coefficients; smooth and
-    tabulated profiles go through the radial moments m_{D/2+n-1}.  Rejects
-    measures that fail validate_measure.
+    tabulated profiles go through the radial moments m_{D/2+n-1}.  Raises
+    MeasureError for a measure that fails validate_measure, a D that is not
+    a positive integer, and a negative M.
     """
     report = _validated(measure)
     if not report.passed:
@@ -586,6 +574,8 @@ def laplace_transform(measure: RadialMeasure, D, M, field=FLOAT) -> LaplaceSerie
         )
     if D < 1 or int(D) != D:
         raise MeasureError(f"dimension must be a positive integer, got {D}")
+    if M < 0:
+        raise MeasureError("truncation degree must be nonnegative")
     D = int(D)
     if field == RATIONAL:
         if measure.kind != SPHERE:

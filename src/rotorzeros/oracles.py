@@ -13,28 +13,27 @@ integral over the unit sphere with points sqrt(r) * omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
 from .measures import LaplaceSeries, MeasureError, RadialMeasure
 
-ANGULAR_GRID = "angular-grid"
-RADIAL_QUADRATURE = "radial-quadrature"
-
 W_TERM_CAP = 2000
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    value: complex
-    estimated_error: float
-    method: str
-    samples: int
+def z_direct_circle(N, J, r, y, nodes=512) -> complex:
+    """Z_N(i y e1) for the D = 2 sphere chain by tensor trapezoid.
 
-
-def _z_circle_value(N, J, r, y, nodes):
+    The chain structure reduces the N-torus sum to N matrix-vector
+    products on the angular grid.
+    """
+    if not 2 <= N <= 4:
+        raise ValueError(f"direct circle oracle supports N in 2..4, got {N}")
+    if r <= 0:
+        raise ValueError("sphere parameter r must be positive")
+    if nodes < 64 or nodes & (nodes - 1):
+        raise ValueError("nodes must be a power of 2, at least 64")
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     # per-spin weight: (2 pi / n) * (1/2) * r^(D/2-1) with D = 2
     w = np.pi / nodes
@@ -44,25 +43,6 @@ def _z_circle_value(N, J, r, y, nodes):
     for _ in range(N - 1):
         u = (w * field) * (kernel @ u)
     return complex(u.sum())
-
-
-def z_direct_circle(N, J, r, y, nodes=512) -> OracleResult:
-    """Z_N(i y e1) for the D = 2 sphere chain by tensor trapezoid.
-
-    The chain structure reduces the N-torus sum to N matrix-vector
-    products on the angular grid.  The error estimate compares against
-    the half-resolution grid.
-    """
-    if not 2 <= N <= 4:
-        raise ValueError(f"direct circle oracle supports N in 2..4, got {N}")
-    if r <= 0:
-        raise ValueError("sphere parameter r must be positive")
-    if nodes < 64 or nodes & (nodes - 1):
-        raise ValueError("nodes must be a power of 2, at least 64")
-    value = _z_circle_value(N, J, r, y, nodes)
-    coarse = _z_circle_value(N, J, r, y, nodes // 2)
-    err = abs(value - coarse)
-    return OracleResult(value, err, ANGULAR_GRID, nodes)
 
 
 def sphere_mass(D, r):
@@ -135,7 +115,7 @@ def w_kernel_value(D, zeta, r):
     )
 
 
-def laplace_direct(measure: RadialMeasure, D, zeta) -> OracleResult:
+def laplace_direct(measure: RadialMeasure, D, zeta) -> complex:
     """chi_hat at z with z^2 = zeta, by radial quadrature of the kernel.
 
     Independent of the series pipeline: the kernel is summed pointwise and
@@ -144,8 +124,7 @@ def laplace_direct(measure: RadialMeasure, D, zeta) -> OracleResult:
     zeta = float(zeta)
     if measure.kind == "sphere":
         r = float(measure.radius)
-        val = math.pi ** (D / 2) * w_kernel_value(D, zeta, r)
-        return OracleResult(complex(val), abs(val) * 1e-15, RADIAL_QUADRATURE, 1)
+        return complex(math.pi ** (D / 2) * w_kernel_value(D, zeta, r))
     R = measures._tail_cutoff(measure, max(D / 2 - 1, 0))
     tau = measures._compiled(measure).tau
 
@@ -154,12 +133,7 @@ def laplace_direct(measure: RadialMeasure, D, zeta) -> OracleResult:
         # with the Jacobian 2x stays smooth at 0 also for odd D
         return 2.0 * x * w_kernel_value(D, zeta, x * x) * tau(x * x)
 
-    value, err = measures.integrate.quad(
+    value, _ = measures.integrate.quad(
         integrand, 0.0, math.sqrt(R), epsabs=0.0, epsrel=1e-12, limit=400
     )
-    return OracleResult(
-        complex(math.pi ** (D / 2) * value),
-        math.pi ** (D / 2) * err,
-        RADIAL_QUADRATURE,
-        1,
-    )
+    return complex(math.pi ** (D / 2) * value)

@@ -456,8 +456,12 @@ def _chain(v: LaplaceSeries, J, D):
         yield kernel, tuple(diagonal(kernel))
 
 
-def _chain_series(v: LaplaceSeries, Ns, J, D):
-    """phi_N for every chain length N in Ns, in ascending N, from one _chain."""
+def phi_from_transform(v: LaplaceSeries, Ns, J, D):
+    """Partition series phi_N for every chain length N in Ns, from a transform series.
+
+    Returns {N: series} in ascending N, from one sweep of the chain.  Useful
+    for surrogate kernels; ``phi_chain`` does the same for real measures.
+    """
     Ns = list(Ns)
     if not Ns or any(n < 1 or int(n) != n for n in Ns):
         raise ValueError(f"chain lengths must be positive integers, got {Ns}")
@@ -475,14 +479,6 @@ def _chain_series(v: LaplaceSeries, Ns, J, D):
                 coupling=J,
             )
     return out
-
-
-def phi_from_transform(v: LaplaceSeries, N, J, D) -> LaplaceSeries:
-    """Diagonal partition series built from an explicit transform series.
-
-    Useful for surrogate kernels; ``phi_chain`` does the same for real measures.
-    """
-    return _chain_series(v, [N], J, D)[N]
 
 
 def psi_kernel(v: LaplaceSeries, N, J, D) -> TruncatedPoly:
@@ -510,28 +506,10 @@ def psi_kernel(v: LaplaceSeries, N, J, D) -> TruncatedPoly:
     return TruncatedPoly(PAIR_VARS, terms, v.truncation_degree, FLOAT)
 
 
-def stable_coefficient_count(lower: LaplaceSeries, upper: LaplaceSeries, rel_tol=1e-10):
-    """Highest index K with a_0..a_K agreeing between two truncation degrees.
-
-    The ladder's coefficient-level convergence check: a coefficient is
-    stable when its relative change between successive degrees is below
-    ``rel_tol``.
-    """
-    a = lower.float_coefficients()
-    b = upper.float_coefficients()
-    count = 0
-    for n in range(min(len(a), len(b))):
-        ref = max(abs(b[n]), 1e-300)
-        if abs(a[n] - b[n]) / ref >= rel_tol:
-            break
-        count = n + 1
-    return count
-
-
 def phi_chain(Ns, D, J, measure: RadialMeasure, M, field=FLOAT):
     """Partition series phi_{N,D} for every chain length N in Ns at coupling J.
 
     N = 1 is the single-spin transform; longer chains iterate the transfer
     recursion at truncation degree M, in one sweep.  Z_N(z) = phi_N(z^2).
     """
-    return _chain_series(laplace_transform(measure, D, M, field), Ns, J, D)
+    return phi_from_transform(laplace_transform(measure, D, M, field), Ns, J, D)

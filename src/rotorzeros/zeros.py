@@ -17,11 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import RadialMeasure
+from .measures import LaplaceSeries, RadialMeasure
 from .recursion import phi_chain
 
 RESIDUAL_TOL = 1e-10
 DRIFT_TOL = 1e-8
+# a chain coefficient is stable when it moves less than this, relative,
+# between the two solved rungs
+COEFFICIENT_TOL = 1e-10
 # A k-fold root of a float polynomial splits by ~eps^(1/k) * conditioning;
 # measured splits for doubled kernels stay below ~1e-5 relative, well away
 # from genuine root separations, so clusters are merged at 2e-5.
@@ -64,8 +67,8 @@ class RootSet:
     residuals: tuple
 
 
-def find_roots(coefficients, window=None) -> RootSet:
-    """All roots of the degree-``window`` truncation of a series.
+def find_roots(coefficients) -> RootSet:
+    """All roots of a truncated series (ascending coefficients).
 
     The roots are the eigenvalues of the balanced companion matrix
     (``np.roots``), which are backward stable.  A root counts as converged
@@ -82,11 +85,6 @@ def find_roots(coefficients, window=None) -> RootSet:
     coeffs = np.asarray(
         [complex(c) for c in coefficients], dtype=complex
     )
-    if window is None:
-        window = len(coeffs) - 1
-    if window > len(coeffs) - 1:
-        raise ValueError(f"window {window} exceeds series degree {len(coeffs) - 1}")
-    coeffs = coeffs[: window + 1]
     bad = ~np.isfinite(coeffs)
     if bad.any():
         raise RuntimeError(f"series coefficient of degree {np.argmax(bad)} is not finite")
@@ -153,11 +151,8 @@ class ZeroReport:
     multiplicities: tuple
     verdicts: tuple
     stable: tuple
-    gammas: tuple
     drift_per_root: tuple
     overall: str
-    gamma_sum: float = 0.0
-    notes: str = ""
 
     def stable_roots(self):
         return [r for r, s in zip(self.roots, self.stable) if s]
@@ -192,25 +187,13 @@ def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, drifts=None, multiplicit
         overall = VERIFIED
     else:
         overall = INCONCLUSIVE
-    gammas = []
-    for r, v, s, mult in zip(roots, verdicts, stable, multiplicities):
-        if s and v == NEGATIVE_REAL:
-            gammas.extend([-1.0 / r.real] * mult)
-    gammas.sort(reverse=True)
-    gamma_sum = float(sum(gammas))
-    notes = ""
-    if gammas:
-        notes = "gamma_sum covers the stable window only; the entire function's tail is excluded."
     return ZeroReport(
         tuple(roots),
         tuple(multiplicities),
         tuple(verdicts),
         tuple(bool(s) for s in stable),
-        tuple(gammas),
         tuple(drifts),
         overall,
-        gamma_sum,
-        notes,
     )
 
 
@@ -222,6 +205,24 @@ def default_window(M):
 def solved_rungs(ladder):
     """The rungs a verdict reads: the top one and the one below, if any."""
     return sorted(set(ladder))[-2:]
+
+
+def stable_coefficient_count(lower: LaplaceSeries, upper: LaplaceSeries):
+    """Highest index K with a_0..a_K agreeing between two truncation degrees.
+
+    The ladder's coefficient-level convergence check: a coefficient is
+    stable when its relative change between the two degrees is below
+    ``COEFFICIENT_TOL``.
+    """
+    a = lower.float_coefficients()
+    b = upper.float_coefficients()
+    count = 0
+    for n in range(min(len(a), len(b))):
+        ref = max(abs(b[n]), 1e-300)
+        if abs(a[n] - b[n]) / ref >= COEFFICIENT_TOL:
+            break
+        count = n + 1
+    return count
 
 
 def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):

@@ -575,6 +575,10 @@ class TestMainEntry:
             ('"verify"', ["verify"]),
             ('{"command": "verify", "measure": {"kind": "sphere", "radius": "one"}}', []),
             ('{"command": "laplace", "measure": {"kind": "density", "f": ["x"], "g": [0, 0, 1]}}', []),
+            # a measure that is not an object, or JSON text of one: the
+            # first raised AttributeError, the second ran a sphere
+            ('{"command": "laplace", "measure": "1e400"}', []),
+            ('{"command": "laplace", "measure": [["kind", "sphere"], ["radius", 1.0]]}', []),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, argv):
@@ -623,6 +627,26 @@ class TestMainEntry:
     def test_wrong_type_exits_2_and_names_it(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "phi"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # two couplings that print alike used to write one CSV, the
+            # second overwriting the first
+            ({"J": [0.5000001, 0.5000002]}, "J entries must differ"),
+            # a repeated entry used to redo the same chain
+            ({"N": [2, 3, 2]}, "N entries must be distinct"),
+            ({"D": [2, 2]}, "D entries must be distinct"),
+        ],
+        ids=["J", "N", "D"],
+    )
+    def test_repeated_grid_entry_exits_2_and_names_it(self, tmp_path, capsys, command, overrides, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command=command, **overrides)))
         assert main(["--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -19,27 +19,33 @@ from rotorzeros.measures import (
     laplace_transform,
     radial_moment,
     validate_measure,
-    wd_series,
 )
 
 SPHERE = RadialMeasure.sphere(1.0)
 GAUSS = RadialMeasure.density([1.0], [0.0, 0.0, 1.0], label="gaussian-in-s")
 
 
+def sphere_transform(D, r, M, field=FLOAT):
+    return laplace_transform(RadialMeasure.sphere(r), D, M, field)
+
+
 class TestWdSeries:
+    """The sphere kernel w_D(zeta, r), the sphere's transform over pi^(D/2)."""
+
     def test_constant_term_d2(self):
-        assert wd_series(2, 1.0, 0).coefficients[0] == 1.0
+        assert sphere_transform(2, 1.0, 0).coefficients[0] == math.pi * 1.0
 
     def test_first_coefficient_d2(self):
         # c_1 = 1 / (4 * 1! * Gamma(2)) = 1/4
-        assert wd_series(2, 1.0, 1).coefficients[1] == 0.25
+        assert sphere_transform(2, 1.0, 1).coefficients[1] == math.pi * 0.25
 
     def test_constant_term_d4_r2(self):
         # c_0 = r^(D/2-1) / Gamma(D/2) = 2 / 1!
-        assert wd_series(4, 2.0, 0).coefficients[0] == 2.0
+        assert sphere_transform(4, 2.0, 0).coefficients[0] == math.pi**2 * 2.0
 
     def test_rational_backend_exact(self):
-        v = wd_series(2, Fraction(1), 3, RATIONAL)
+        v = sphere_transform(2, Fraction(1), 3, RATIONAL)
+        assert v.pi_power == 1
         assert list(v.coefficients) == [
             Fraction(1),
             Fraction(1, 4),
@@ -49,21 +55,34 @@ class TestWdSeries:
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(MeasureError):
-            wd_series(0, 1.0, 3)
+            sphere_transform(0, 1.0, 3)
         with pytest.raises(MeasureError):
-            wd_series(3, Fraction(1), 3, RATIONAL)
+            sphere_transform(3, Fraction(1), 3, RATIONAL)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(MeasureError):
-            wd_series(2, 0.0, 3)
+            sphere_transform(2, 0.0, 3)
 
     def test_odd_dimension_float_allowed(self):
         # half-integer Gamma; D=1, r=1: c_0 = 1/Gamma(1/2) = 1/sqrt(pi)
-        v = wd_series(1, 1.0, 2)
-        assert v.coefficients[0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+        v = sphere_transform(1, 1.0, 2)
+        assert v.coefficients[0] == pytest.approx(math.pi ** (1 / 2) * (1.0 / math.sqrt(math.pi)), rel=1e-14)
 
 
 class TestLaplaceTransform:
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            GAUSS,
+            RadialMeasure.tabulated([[0.1 * k, math.exp(-0.1 * k)] for k in range(30)]),
+        ],
+        ids=["density", "tabulated"],
+    )
+    def test_rejects_negative_degree(self, measure):
+        # both used to return an empty series of truncation degree -1
+        with pytest.raises(MeasureError, match="truncation degree must be nonnegative"):
+            laplace_transform(measure, 2, -1)
+
     def test_sphere_mass_is_pi(self):
         v = laplace_transform(SPHERE, 2, 0)
         assert v.coefficients[0] == pytest.approx(math.pi, rel=1e-15)
@@ -157,8 +176,8 @@ class TestDimensionShift:
     @pytest.mark.parametrize("r", [Fraction(1), Fraction(2), Fraction(3, 2)])
     def test_kernel_derivative_identity(self, D, r):
         M = 30
-        upper = wd_series(D + 2, r, M - 1, RATIONAL)
-        deriv = wd_series(D, r, M, RATIONAL).derivative()
+        upper = sphere_transform(D + 2, r, M - 1, RATIONAL)
+        deriv = sphere_transform(D, r, M, RATIONAL).derivative()
         assert list(deriv.coefficients) == [c / 4 for c in upper.coefficients]
 
     @pytest.mark.parametrize("D", [2, 4])
@@ -178,8 +197,8 @@ class TestDimensionShift:
         # d/dzeta of the D kernel is the D+2 kernel over 4: stable roots match
         v2 = laplace_transform(SPHERE, 2, 51)
         v4 = laplace_transform(SPHERE, 4, 50)
-        dr = find_roots([c * n for n, c in enumerate(v2.coefficients)][1:], 50).roots
-        ur = find_roots(v4.coefficients, 50).roots
+        dr = find_roots([c * n for n, c in enumerate(v2.coefficients)][1:]).roots
+        ur = find_roots(v4.coefficients).roots
         for a, b in zip(dr[:4], ur[:4]):
             assert abs(a - b) <= 1e-8 * (1 + abs(b))
 

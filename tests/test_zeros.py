@@ -6,6 +6,7 @@ from scipy.special import jn_zeros
 
 from rotorzeros import measures
 from rotorzeros.measures import RadialMeasure, laplace_transform, validate_measure
+from rotorzeros.recursion import phi_chain
 from rotorzeros.zeros import (
     INCONCLUSIVE,
     NEGATIVE_REAL,
@@ -18,9 +19,21 @@ from rotorzeros.zeros import (
     solved_rungs,
     stabilize_chain,
     stabilize_series,
+    stable_coefficient_count,
 )
 
 SPHERE = RadialMeasure.sphere(1.0)
+
+
+def gammas(report):
+    """-1/Re zeta of the stable negative-real roots, with multiplicity, largest first."""
+    found = [
+        -1.0 / z.real
+        for z, mult, verdict, stable in zip(report.roots, report.multiplicities, report.verdicts, report.stable)
+        if stable and verdict == NEGATIVE_REAL
+        for _ in range(mult)
+    ]
+    return sorted(found, reverse=True)
 
 
 class TestFindRoots:
@@ -35,7 +48,7 @@ class TestFindRoots:
     def test_bessel_reduction(self):
         # the D=2 sphere transform vanishes exactly at -j_{0,k}^2
         v = laplace_transform(SPHERE, 2, 60)
-        roots = find_roots(v.coefficients, window=60).roots
+        roots = find_roots(v.coefficients).roots
         targets = -jn_zeros(0, 3) ** 2
         for got, want in zip(roots[:3], targets):
             assert abs(got - want) / abs(want) < 1e-8
@@ -46,19 +59,15 @@ class TestFindRoots:
         assert all(rs.converged)
         assert all(res <= 1e-10 for res in rs.residuals)
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            find_roots([1, 1], window=5)
-
     def test_scaling_invariance(self):
         v = laplace_transform(SPHERE, 2, 40)
-        base = np.array(find_roots(v.coefficients, 20).roots)
+        base = np.array(find_roots(v.coefficients[:21]).roots)
         # a power-of-two factor rescales without any rounding: bitwise equal
-        exact = np.array(find_roots([2.0**19 * c for c in v.coefficients], 20).roots)
+        exact = np.array(find_roots([2.0**19 * c for c in v.coefficients[:21]]).roots)
         assert np.array_equal(base, exact)
         # a general factor rounds each coefficient by half an ulp; the
         # well-conditioned (reliable-window) roots still stay put to 1e-12
-        scaled = np.array(find_roots([3.7e5 * c for c in v.coefficients], 20).roots)
+        scaled = np.array(find_roots([3.7e5 * c for c in v.coefficients[:21]]).roots)
         d = np.abs(base - scaled) / (1 + np.abs(base))
         assert np.all(d[:3] <= 1e-12)
 
@@ -100,7 +109,7 @@ class TestClassify:
     def test_negative_reals_verified(self):
         report = classify_lee_yang([-1.0, -2.0])
         assert report.overall == VERIFIED
-        assert report.gammas == (1.0, 0.5)
+        assert gammas(report) == [1.0, 0.5]
 
     def test_off_axis_violates(self):
         report = classify_lee_yang([complex(-1, 0.5)], tol=1e-6)
@@ -132,7 +141,7 @@ class TestStabilize:
         assert len(stable_roots) >= 3
         for got, want in zip(stable_roots[:3], targets):
             assert abs(got - want) / abs(want) < 1e-8
-        assert report.gammas[0] == pytest.approx(1.0 / jn_zeros(0, 1)[0] ** 2, rel=1e-8)
+        assert gammas(report)[0] == pytest.approx(1.0 / jn_zeros(0, 1)[0] ** 2, rel=1e-8)
 
     def test_squared_kernel_doubles_roots(self):
         report = stabilize_chain([2], 2, 0.0, SPHERE, (40, 60))[2]
@@ -169,9 +178,12 @@ class TestStabilize:
         assert report.overall == VERIFIED
         assert sum(report.stable) == {2: 4, 4: 3, 6: 2}[D]
 
-    def test_gamma_sum_disclaimer(self):
-        report = stabilize_chain([1], 2, 0.0, SPHERE, (40, 60))[1]
-        assert "tail" in report.notes
+    def test_stable_coefficient_count(self):
+        low = phi_chain([3], 2, 0.5, SPHERE, 30)[3]
+        high = phi_chain([3], 2, 0.5, SPHERE, 40)[3]
+        k = stable_coefficient_count(low, high)
+        assert k >= 20
+        assert stable_coefficient_count(high, high) == 41
 
     def test_rungs_share_density_moments(self, monkeypatch):
         # every rung's transform is a prefix of the top rung's, so a cleared
@@ -215,7 +227,7 @@ class TestReconstruction:
         assert report.overall == VERIFIED and all(report.stable)
         # Z(0) * prod (1 + gamma zeta) over the reported gammas
         rebuilt = [coeffs[0]]
-        for g in report.gammas:
+        for g in gammas(report):
             rebuilt = np.convolve(rebuilt, [1.0, g])
         for got, want in zip(rebuilt, coeffs):
             assert got == pytest.approx(want, rel=1e-4)

@@ -6,9 +6,9 @@ verdicts, timings, and versions.  Identical config + seed produces
 byte-identical CSV artifacts.
 
 Exit status: 0 on completion, 1 when any Violated verdict occurs inside a
-theorem-covered regime (even D, J > 0, certified measure), 2 on
-configuration errors, 3 when a numeric failure was recorded in the
-report's ``errors`` and no status 1 applies.
+theorem-covered regime (even D, J > 0, certified measure), 2 on configuration
+errors, 3 when a numeric failure was recorded in the report's ``errors`` and
+no status 1 applies, 4 when any other error escapes a run.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -491,11 +492,13 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("either a command or --config is required")
         data.update((key, value) for key, value in flags.items() if value is not None)
-        cfg = RunConfig.from_dict(data)
+        return run(RunConfig.from_dict(data))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    except Exception:  # status 1 means a Violated verdict in the theorem regime
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

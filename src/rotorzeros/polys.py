@@ -47,8 +47,6 @@ def coerce_scalar(value, field_name):
             f"rational field requires Fraction or int scalars, got {type(value).__name__}"
         )
     if field_name == FLOAT:
-        if isinstance(value, complex):
-            return value
         return float(value)
     raise ValueError(f"unknown coefficient field {field_name!r}")
 
@@ -140,9 +138,6 @@ class TruncatedPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.variables, self.field, frozenset(self.terms.items())))
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_compat(self, other):
@@ -170,19 +165,6 @@ class TruncatedPoly:
                 terms[exp] = s
         return TruncatedPoly(self.variables, terms, self.max_degree, self.field)
 
-    def __neg__(self):
-        return TruncatedPoly(
-            self.variables,
-            {e: -c for e, c in self.terms.items()},
-            self.max_degree,
-            self.field,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, scalar):
         scalar = coerce_scalar(scalar, self.field)
         if scalar == 0:
@@ -196,7 +178,7 @@ class TruncatedPoly:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedPoly):
-            return self.scale(other)
+            return NotImplemented
         self._check_compat(other)
         cap = self.max_degree
         terms = {}
@@ -212,8 +194,6 @@ class TruncatedPoly:
                 else:
                     terms[exp] = s
         return TruncatedPoly(self.variables, terms, cap, self.field)
-
-    __rmul__ = __mul__
 
     # -- calculus and substitution -------------------------------------
 

@@ -48,6 +48,13 @@ _E = {name: tuple(1 if v == name else 0 for v in GRAM_VARS) for name in GRAM_VAR
 _E3 = {name: tuple(1 if v == name else 0 for v in PAIR_VARS) for name in PAIR_VARS}
 
 
+def _dimension(D):
+    """D as an int, or ValueError unless it is a positive integer."""
+    if D < 1 or int(D) != D:
+        raise ValueError(f"dimension must be a positive integer, got {D}")
+    return int(D)
+
+
 def delta_operator(arity, D) -> GramOperator:
     """The Gram-variable representative of D_z1 . D_z2.
 
@@ -56,9 +63,7 @@ def delta_operator(arity, D) -> GramOperator:
     lowers total degree by one, so the operator exponential is nilpotent
     on polynomials.
     """
-    if D < 1 or int(D) != D:
-        raise ValueError(f"dimension must be a positive integer, got {D}")
-    D = int(D)
+    D = _dimension(D)
     if arity == 2:
         zero = (0, 0, 0)
         terms = (
@@ -288,8 +293,8 @@ def _add_row(target, offset, coef, row):
     target[offset:stop] = [t + coef * x for t, x in zip(target[offset:stop], row)]
 
 
-def _int_rows(n1):
-    return [[[0] * n1 for _ in range(n1)] for _ in range(n1)]
+def _int_plane(n1):
+    return [[0] * n1 for _ in range(n1)]
 
 
 def _lowest(rows, den):
@@ -322,39 +327,36 @@ def _advance_exact(v, P, J, D, M):
     Pn, dP = P
     J = coerce_scalar(J, RATIONAL)
     n1 = M + 1
-    if J == 0:
-        # the step collapses to v(zeta1) times the diagonal of the kernel
-        diag = _diagonal_sums(Pn, M)
-        out = _int_rows(n1)
-        for al, x in enumerate(vn):
-            if x:
-                out[al][0][: n1 - al] = [x * d for d in diag[: n1 - al]]
-        return _lowest(out, dP * dv)
-    if int(D) != D:
-        raise ValueError(f"dimension must be a positive integer, got {D}")
-    D = int(D)
+    # Every term carries J^(m+2p), m + 2p <= E = 2M as B[p][m] vanishes
+    # past p + m = M, and A[i][k] feeds only terms with m + 2p >= i + k.
+    # So with top the last power of J that is not 0 (2M, or 0 at J = 0),
+    # every stage keeps i + k <= top and m + 2p <= top; at J = 0 that
+    # leaves v(zeta1) times the diagonal sums of the kernel.
+    E = 2 * M
+    top = E if J else 0
+    planes = range(min(n1, top + 1))
     # Diagonal derivative data with the 1/(i! k!) of the B split folded in,
     # A[i][k][n] = sum of C(al, i) C(ga, k) Pn[al][ga][be] over
     # al+be+ga = n+i+k: first along al into T[i][ga] (a row over
     # al+be-i), then along ga.
-    T = _int_rows(n1)
+    T = [_int_plane(n1) for _ in planes]
     for al in range(n1):
         for ga in range(n1 - al):
             row = Pn[al][ga][: n1 - al - ga]
             if any(row):
-                for i in range(al + 1):
+                for i in range(min(al, top) + 1):
                     _add_row(T[i][ga], al - i, math.comb(al, i), row)
-    A = _int_rows(n1)
-    for i in range(n1):
+    A = [_int_plane(n1) for _ in planes]
+    for i in planes:
         for ga in range(n1 - i):
             row = T[i][ga][: n1 - i - ga]
             if any(row):
-                for k in range(ga + 1):
+                for k in range(min(ga, top - i) + 1):
                     _add_row(A[i][k], ga - k, math.comb(ga, k), row)
     # B[p][m] = sum_j 2^j C(p+j, j) A[p+j][m-j] is the B[p, m] of the
     # float step times dP: 2^j / (j! k! p!) times i! k! is 2^j C(i, j).
-    B = _int_rows(n1)
-    for i in range(n1):
+    B = [_int_plane(n1) for _ in planes]
+    for i in planes:
         for k in range(n1 - i):
             row = A[i][k][: n1 - i - k]
             if any(row):
@@ -362,12 +364,10 @@ def _advance_exact(v, P, J, D, M):
                     _add_row(B[i - j][k + j], 0, math.comb(i, j) << j, row)
     # Laplacian lifts V_p of the new spin's transform, times dv.
     V = [vn]
-    for p in range(1, n1):
+    for p in planes[1:]:
         prev = V[-1]
         V.append([2 * (n + 1) * (D + 2 * n) * prev[n + 1] for n in range(len(prev) - 1)])
-    # J^e = Jn^e Jd^(E-e) / Jd^E, and B[p][m] is nonzero only for
-    # p + m <= M, so m + 2p <= E = 2M; the output is over dP dv Jd^E.
-    E = 2 * M
+    # J^e = Jn^e Jd^(E-e) / Jd^E, so the output is over dP dv Jd^E.
     Jn, Jd = J.numerator, J.denominator
     Jpow = [Jn**e * Jd ** (E - e) for e in range(E + 1)]
     fact = [math.factorial(k) for k in range(n1)]
@@ -375,9 +375,9 @@ def _advance_exact(v, P, J, D, M):
     # (p, m, a) at zeta1^(s-q), q = m-a, takes perm(s, q) V_p[s] and the
     # first M-s+1 entries of B[p][m], so the sum over p is done first:
     # G[s] = sum_p J^(m+2p) V_p[s] B[p][m][: M-s+1].
-    out = _int_rows(n1)
-    for m in range(n1):
-        live = [p for p in range(n1 - m) if any(B[p][m])]
+    out = [_int_plane(n1) for _ in range(n1)]
+    for m in planes:
+        live = [p for p in range(min(n1 - m, (top - m) // 2 + 1)) if any(B[p][m])]
         lo = (m + 1) // 2  # the least q = m - a
         G = {}
         for s in range(lo, n1):
@@ -416,14 +416,16 @@ def _chain(v: LaplaceSeries, J, D):
     pair (Pn, dP), or a dense float tensor P[a1, a2, a12]) and the M+1
     coefficients of phi_N.  N = 1 yields no kernel (None): its kernel
     v(g11) is the seed of the first step, built only when that step is taken.
+    D must be a positive integer in both fields and at every J.
     """
+    D = _dimension(D)
     M = v.truncation_degree
     if v.field == RATIONAL:
         dv = math.lcm(*(c.denominator for c in v.coefficients))
         vn = [c.numerator * (dv // c.denominator) for c in v.coefficients]
 
         def seed():
-            Pn = _int_rows(M + 1)
+            Pn = [_int_plane(M + 1) for _ in range(M + 1)]
             for al, x in enumerate(vn):
                 Pn[al][0][0] = x
             return Pn, dv
@@ -447,7 +449,7 @@ def _chain(v: LaplaceSeries, J, D):
             return list(_diag_from_tensor(P, M))
 
         def advance(P):
-            return _advance_float(v_arr, P, float(J), int(D), M)
+            return _advance_float(v_arr, P, float(J), D, M)
 
     yield None, tuple(v.coefficients)
     kernel = seed()

@@ -2,11 +2,13 @@
 
 import ctypes
 import hashlib
+import importlib
 import inspect
 import json
 import os
 import re
 import subprocess
+import tomllib
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,73 @@ class TestRun:
             (tmp_path / "out" / "zeros_2_2_0.5.csv.meta.json").read_text()
         )
         assert sidecar["config_hash"] == cfg.config_hash()
+
+    def test_laplace_writes_the_same_csv_in_both_fields(self, tmp_path):
+        # the rational transform carries pi^(D/2) outside its Fractions;
+        # its CSV writes the same floats as the float transform's
+        csvs = []
+        for backend in ("float64", "rational"):
+            out = tmp_path / backend
+            grid = dict(command="laplace", D=[2, 4], degreeLadder=[10, 12], backend=backend)
+            assert run(RunConfig.from_dict(make_config(tmp_path, outputDir=str(out), **grid))) == 0
+            assert sorted(f.name for f in out.iterdir()) == [
+                "laplace_2.csv", "laplace_2.csv.meta.json",
+                "laplace_4.csv", "laplace_4.csv.meta.json", "report.json",
+            ]
+            csvs.append({D: (out / f"laplace_{D}.csv").read_text() for D in (2, 4)})
+        assert csvs[0] == csvs[1]
+        lines = csvs[0][4].splitlines()
+        assert lines[0] == "n,c_n" and len(lines) == 14
+
+    @pytest.mark.parametrize(
+        "D, status, scope",
+        [(2, 1, "theorem"), (3, 0, "outside theorem guarantee")],
+        ids=["even-D", "odd-D"],
+    )
+    def test_violated_verdict_exits_1_only_inside_the_theorem_regime(
+        self, tmp_path, monkeypatch, D, status, scope
+    ):
+        # a sphere at even D and J > 0 is covered by the theorem, so a
+        # Violated verdict there is a bug signal; at odd D it is not
+        violated = zeros.classify_lee_yang([complex(-1, 0.5)])
+        monkeypatch.setattr(cli, "stabilize_chain", lambda Ns, *args, **kwargs: {N: violated for N in Ns})
+        assert run(RunConfig.from_dict(make_config(tmp_path, D=[D]))) == status
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [(v["overall"], v["scope"]) for v in report["verdicts"]] == [(VIOLATED, scope)]
+        assert report["exit_status"] == status
+
+    def test_measure_failing_validation_exits_2(self, tmp_path, capsys):
+        # g(s) = s parses, but a linear g fails the degree check of validation
+        linear = {"kind": "density", "f": [1.0], "g": [0.0, 1.0]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, measure=linear)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "measure failed validation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_geometry_selftest_exits_1(self, tmp_path, monkeypatch):
+        summary = {"membership": {"pass": True}, "preimage": {"pass": False}}
+        monkeypatch.setattr(cli, "self_test", lambda seed: summary)
+        assert run(RunConfig.from_dict(make_config(tmp_path, command="geometry-selftest"))) == 1
+        data = json.loads((tmp_path / "out" / "geometry_selftest.json").read_text())
+        assert data["overall_pass"] is False and data["preimage"] == {"pass": False}
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["exit_status"] == 1
+
+    def test_verify_on_a_tabulated_profile(self, tmp_path):
+        # the config hash and the sidecars carry the samples through to_json
+        grid = [[0.05 * k, float(np.exp(-((0.05 * k) ** 2)))] for k in range(200)]
+        tabulated = {"kind": "tabulated", "samples": grid}
+        cfg = RunConfig.from_dict(make_config(tmp_path, measure=tabulated))
+        assert run(cfg) == 0
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert report["config_hash"] == cfg.config_hash() and report["errors"] == []
+        assert [(v["N"], v["D"]) for v in report["verdicts"]] == [(2, 2)]
+        sidecar = json.loads((out / "zeros_2_2_0.5.csv.meta.json").read_text())
+        assert sidecar["config_hash"] == cfg.config_hash()
+        other = make_config(tmp_path, measure={**tabulated, "samples": grid[:-1]})
+        assert RunConfig.from_dict(other).config_hash() != cfg.config_hash()
 
     def test_odd_dimension_labeled_outside_guarantee(self, tmp_path):
         cfg = RunConfig.from_dict(
@@ -678,6 +747,19 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_uncaught_error_exits_4_with_its_traceback(self, tmp_path, capsys, monkeypatch):
+        # status 1 means a Violated verdict inside the theorem regime, so an
+        # error that escapes run() gets a status of its own
+        def broken(*args):
+            raise ValueError("broken transform")
+
+        monkeypatch.setattr(cli, "laplace_transform", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, command="laplace")))
+        assert main(["--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: broken transform" in err
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(make_config(tmp_path)))
@@ -780,6 +862,14 @@ class TestOneBlasThread:
             + f"print(cli.run(cli.RunConfig.from_dict({cfg!r})))\n"
         )
         assert out.split() == ["1", "0"]
+
+
+def test_console_script_resolves_to_main():
+    # CI runs the package from PYTHONPATH and never calls the installed script
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rotorzeros"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -74,6 +74,14 @@ class TestPreimage:
             assert preimage_residual(t, z1, z2) < 1e-10
             assert in_L(z1) and in_L(z2)
 
+    def test_real_second_slot_round_trip(self):
+        # zeta2 on the positive real axis, zeta1 off it: the real-first
+        # branch runs with the slots swapped
+        t = GramTriple(1 + 1j, 2 + 0j, 0.5 - 0.3j)
+        z1, z2 = preimage_pair(t)
+        assert preimage_residual(t, z1, z2) < 1e-10
+        assert in_L(z1) and in_L(z2)
+
     def test_rejects_excluded_half_line(self):
         with pytest.raises(ValueError):
             preimage_pair(GramTriple(-1 + 0j, 1j, 0j))

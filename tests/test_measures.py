@@ -144,6 +144,11 @@ class TestValidation:
         assert not report.passed
         assert any("degree should be at least two" in c[2] for c in report.failures())
 
+    def test_trailing_zero_g_coefficients_trimmed(self):
+        # g = s + s^2 + 0 s^3 has degree 2 and a positive leading coefficient
+        report = validate_measure(RadialMeasure.density([1.0], [0.0, 1.0, 1.0, 0.0]))
+        assert report.passed
+
     def test_gaussian_passes(self):
         report = validate_measure(GAUSS)
         assert report.passed and report.certified_lee_yang
@@ -167,6 +172,12 @@ class TestValidation:
         for m in (SPHERE, GAUSS):
             again = RadialMeasure.from_json(m.to_json())
             assert again.kind == m.kind and again.label == m.label
+
+
+    def test_tabulated_json_round_trip(self):
+        grid = np.linspace(0.0, 5.0, 11)
+        tabulated = RadialMeasure.tabulated(list(zip(grid, np.exp(-(grid**2)))), label="gauss-grid")
+        assert RadialMeasure.from_json(tabulated.to_json()) == tabulated
 
 
 class TestDimensionShift:

@@ -237,6 +237,32 @@ class TestEngineEquivalence:
         assert np.allclose(op[:6], fast[:6], rtol=1e-10)
 
 
+class TestDimensionCheck:
+    """The chain driver checks D once, for both fields and every J."""
+
+    @staticmethod
+    def transform(field):
+        one = Fraction(1) if field == RATIONAL else 1.0
+        return surrogate([one, one / 2, one / 3], 4, field), (0 * one, one / 2)
+
+    @pytest.mark.parametrize("D", [0, -2, 2.5, Fraction(5, 2)], ids=str)
+    @pytest.mark.parametrize("field", [FLOAT, RATIONAL])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, field, D):
+        v, couplings = self.transform(field)
+        for J in couplings:
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                phi_from_transform(v, [2], J, D)
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                psi_kernel(v, 2, J, D)
+
+    @pytest.mark.parametrize("field", [FLOAT, RATIONAL])
+    def test_integral_dimension_runs_as_an_int(self, field):
+        v, couplings = self.transform(field)
+        for J in couplings:
+            series = phi_from_transform(v, [2], J, Fraction(4))[2]
+            assert series == phi_from_transform(v, [2], J, 4)[2]
+            assert type(series.dimension) is int
+
 class TestFloatStepPinned:
     """The float step's output bits, recorded before its vectorisation.
 

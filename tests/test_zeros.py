@@ -11,6 +11,7 @@ from rotorzeros.zeros import (
     INCONCLUSIVE,
     NEGATIVE_REAL,
     OFF_AXIS,
+    UNSTABLE,
     VERIFIED,
     VIOLATED,
     ZeroReport,
@@ -126,6 +127,12 @@ class TestClassify:
         )
         assert report.overall == VERIFIED
         assert report.verdicts[1] == OFF_AXIS and not report.stable[1]
+
+    def test_negative_real_and_unstable_roots_inconclusive(self):
+        # 5e-6 off the axis lies between the tol and 10 tol wedges of -1
+        report = classify_lee_yang([-1.0, complex(-1, 5e-6)], tol=1e-6)
+        assert report.verdicts == (NEGATIVE_REAL, UNSTABLE)
+        assert report.overall == INCONCLUSIVE
 
     def test_no_stable_roots_inconclusive(self):
         report = classify_lee_yang([-1.0], stable=[False])

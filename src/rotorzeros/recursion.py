@@ -98,7 +98,7 @@ def _series_poly(v: LaplaceSeries, var, variables):
     )
 
 
-def psi_two(v1: LaplaceSeries, v2: LaplaceSeries, J, D) -> TruncatedPoly:
+def psi_two(v1: LaplaceSeries, v2: LaplaceSeries, J) -> TruncatedPoly:
     """Psi_2 = exp(J * Delta_2D) v1(g11) v2(g22), in the ring (g11, g22, g12).
 
     Exact given the truncated inputs.  In rational mode the pi^(D/2) mass
@@ -110,10 +110,10 @@ def psi_two(v1: LaplaceSeries, v2: LaplaceSeries, J, D) -> TruncatedPoly:
     if v1.truncation_degree != v2.truncation_degree or v1.field != v2.field:
         raise ValueError("transforms must share truncation degree and field")
     p = _series_poly(v1, "g11", PAIR_VARS) * _series_poly(v2, "g22", PAIR_VARS)
-    return exp_operator(J, delta_operator(2, D), p)
+    return exp_operator(J, delta_operator(2, v1.dimension), p)
 
 
-def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
+def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J) -> TruncatedPoly:
     """One chain extension: absorb a new boundary spin into Psi_{N-1}.
 
     Relabels psi_prev into the slots (g22, g33, g23), multiplies by the new
@@ -126,7 +126,7 @@ def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
         raise ValueError("transform and kernel must share degree cap and field")
     shifted = psi_prev.relabel({"g11": "g22", "g22": "g33", "g12": "g23"})
     p = _series_poly(v, "g11", GRAM_VARS) * shifted.embed(GRAM_VARS)
-    q = exp_operator(J, delta_operator(3, D), p)
+    q = exp_operator(J, delta_operator(3, v.dimension), p)
     return merge_2_3(q)
 
 
@@ -174,7 +174,7 @@ def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J, D) -> TruncatedPoly:
 # p and a: the CSV artifacts write roots with repr, so a 1-ulp change
 # shows.
 #
-# _step_tables(M) and _past_degree(M) cache read-only tables per degree cap.
+# _step_tables(M) caches the read-only tables of one degree cap.
 
 
 # Rows per block of the float step's slab update: of 4, 6, 8, 10, 13 and
@@ -195,7 +195,7 @@ def _frozen(*arrays):
 
 @functools.lru_cache(maxsize=None)
 def _step_tables(M):
-    """Weights of the float step at degree cap M: F, fact, perm, C."""
+    """Float-step tables at cap M: F, fact, perm, C, and past, the cells past M."""
     n1 = M + 1
     F = np.zeros((n1, n1))
     for i in range(n1):
@@ -212,20 +212,15 @@ def _step_tables(M):
                 * 2.0 ** (m - 2 * a)
                 / (math.factorial(a) * math.factorial(m - 2 * a))
             )
-    return _frozen(F, fact, perm, C)
-
-
-@functools.lru_cache(maxsize=None)
-def _past_degree(M):
-    """Mask of the cells of an (M+1)^3 tensor whose exponents sum past M."""
-    r = np.arange(M + 1)
-    return _frozen(np.add.outer(np.add.outer(r, r), r) > M)[0]
+    r = np.arange(n1)
+    past = np.add.outer(np.add.outer(r, r), r) > M
+    return _frozen(F, fact, perm, C, past)
 
 
 def _taylor_data(P, M):
     """B[p, m, n] of the expansion of P around the diagonal (dense floats)."""
     n1 = M + 1
-    F, fact, _, _ = _step_tables(M)
+    F, fact, *_ = _step_tables(M)
     # Regrade P by total degree: R[alpha, gamma, d] = P[alpha, d-alpha-gamma, gamma]
     R = np.zeros((n1, n1, n1))
     for al in range(n1):
@@ -256,7 +251,7 @@ def _taylor_data(P, M):
 def _advance_float(v_coeffs, P, J, D, M):
     """One fast step on dense float tensors P[a1, a2, a12]."""
     n1 = M + 1
-    _, _, perm, C = _step_tables(M)
+    _, _, perm, C, past = _step_tables(M)
     Bdata = _taylor_data(P, M)
     # Laplacian lifts V_p of the new spin's transform, zero past column M.
     V = np.zeros((n1, 2 * n1))
@@ -283,7 +278,7 @@ def _advance_float(v_coeffs, P, J, D, M):
                 X = Bdata[p, 2 * a + lo : 2 * a + hi, : cmax - lo + 1, None] * vq[:, None, :]
                 X *= w[lo:hi, None, None]
                 out[lo:hi, a : a + cmax - lo + 1, : ni - lo] += X
-    out[_past_degree(M)] = 0.0
+    out[past] = 0.0
     return out.transpose(2, 1, 0).copy()
 
 
@@ -408,7 +403,7 @@ def _diag_from_tensor(P, M):
     return np.bincount(deg.ravel(), weights=P.ravel(), minlength=n1)[: n1]
 
 
-def _chain(v: LaplaceSeries, J, D):
+def _chain(v: LaplaceSeries, J):
     """Grow the chain from the transform v one spin at a time.
 
     Yields (kernel, diagonal) for N = 1, 2, 3, ...: Psi_N in the field's
@@ -416,9 +411,9 @@ def _chain(v: LaplaceSeries, J, D):
     pair (Pn, dP), or a dense float tensor P[a1, a2, a12]) and the M+1
     coefficients of phi_N.  N = 1 yields no kernel (None): its kernel
     v(g11) is the seed of the first step, built only when that step is taken.
-    D must be a positive integer in both fields and at every J.
+    The transform's D must be a positive integer, in both fields and every J.
     """
-    D = _dimension(D)
+    D = _dimension(v.dimension)
     M = v.truncation_degree
     if v.field == RATIONAL:
         dv = math.lcm(*(c.denominator for c in v.coefficients))
@@ -446,7 +441,7 @@ def _chain(v: LaplaceSeries, J, D):
             return P
 
         def diagonal(P):
-            return list(_diag_from_tensor(P, M))
+            return _diag_from_tensor(P, M).tolist()
 
         def advance(P):
             return _advance_float(v_arr, P, float(J), D, M)
@@ -458,11 +453,12 @@ def _chain(v: LaplaceSeries, J, D):
         yield kernel, tuple(diagonal(kernel))
 
 
-def phi_from_transform(v: LaplaceSeries, Ns, J, D):
+def phi_from_transform(v: LaplaceSeries, Ns, J):
     """Partition series phi_N for every chain length N in Ns, from a transform series.
 
     Returns {N: series} in ascending N, from one sweep of the chain.  Useful
     for surrogate kernels; ``phi_chain`` does the same for real measures.
+    The chain takes its dimension D from the transform.
     """
     Ns = list(Ns)
     if not Ns or any(n < 1 or int(n) != n for n in Ns):
@@ -470,12 +466,12 @@ def phi_from_transform(v: LaplaceSeries, Ns, J, D):
     wanted = {int(n) for n in Ns}
     out = {}
     # zip stops on the range, so no step past the longest chain is taken
-    for N, (_, diag) in zip(range(1, max(wanted) + 1), _chain(v, J, D)):
+    for N, (_, diag) in zip(range(1, max(wanted) + 1), _chain(v, J)):
         if N in wanted:
             out[N] = replace(
                 v,
                 coefficients=diag,
-                dimension=int(D),
+                dimension=int(v.dimension),
                 pi_power=v.pi_power * N,
                 chain_length=N,
                 coupling=J,
@@ -483,7 +479,7 @@ def phi_from_transform(v: LaplaceSeries, Ns, J, D):
     return out
 
 
-def psi_kernel(v: LaplaceSeries, N, J, D) -> TruncatedPoly:
+def psi_kernel(v: LaplaceSeries, N, J) -> TruncatedPoly:
     """The two-boundary kernel Psi_N itself, as a pair-ring polynomial.
 
     phi is its diagonal; the full kernel is useful for slot-sensitive
@@ -491,7 +487,7 @@ def psi_kernel(v: LaplaceSeries, N, J, D) -> TruncatedPoly:
     """
     if N < 2 or int(N) != N:
         raise ValueError("the two-boundary kernel needs at least two spins")
-    kernel, _ = next(itertools.islice(_chain(v, J, D), int(N) - 1, None))
+    kernel, _ = next(itertools.islice(_chain(v, J), int(N) - 1, None))
     if v.field == RATIONAL:
         Pn, dP = kernel
         terms = {
@@ -514,4 +510,4 @@ def phi_chain(Ns, D, J, measure: RadialMeasure, M, field=FLOAT):
     N = 1 is the single-spin transform; longer chains iterate the transfer
     recursion at truncation degree M, in one sweep.  Z_N(z) = phi_N(z^2).
     """
-    return phi_from_transform(laplace_transform(measure, D, M, field), Ns, J, D)
+    return phi_from_transform(laplace_transform(measure, D, M, field), Ns, J)

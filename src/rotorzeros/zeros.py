@@ -103,12 +103,14 @@ def find_roots(coefficients) -> RootSet:
         pv = _polyval_many(coeffs, roots)
         scale = _residual_scale(coeffs, roots)
         converged = (np.abs(pv) <= RESIDUAL_TOL * scale) & np.isfinite(roots)
+        # an exact root (zeta = 0 of c_0 = 0, say) has pv = 0 and may have scale 0
+        residuals = np.divide(np.abs(pv), scale, out=np.zeros(scale.shape), where=pv != 0)
     # canonical order: modulus, then real, then imaginary part (ties from
     # conjugate pairs would otherwise order unpredictably)
     order = np.lexsort((roots.imag, roots.real, np.abs(roots)))
     roots = roots[order]
     converged = converged[order]
-    residuals = np.abs(pv[order]) / scale[order]
+    residuals = residuals[order]
     return RootSet(tuple(roots.tolist()), tuple(bool(b) for b in converged), tuple(residuals.tolist()))
 
 

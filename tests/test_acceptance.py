@@ -125,8 +125,8 @@ def test_criterion_4_closed_form_psi_two():
             2 * gam + 4 * J * gam**2,
             Fraction(gam**2),
         ]
-        via_operator = diagonal_series(psi_two(v, v, J, D))
-        via_fast = list(phi_from_transform(v, [2], J, D)[2].coefficients)
+        via_operator = diagonal_series(psi_two(v, v, J))
+        via_fast = list(phi_from_transform(v, [2], J)[2].coefficients)
         ok = ok and via_operator == expected and via_fast == expected
     report(4, ok, "surrogate kernel diagonal matches (1+gz)^2 + 4Jg^2 z + 2J^2 D g^2 exactly")
 

@@ -1,6 +1,7 @@
 """Tests for the transfer recursion: operators, psi builders, the fast step."""
 
 import hashlib
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -53,11 +54,11 @@ def rational_univariate(coeffs, var, cap):
     return TruncatedPoly.from_univariate(coeffs, var, PAIR_VARS, cap, RATIONAL)
 
 
-def operator_kernel(v, N, J, D):
+def operator_kernel(v, N, J):
     """Psi_N by the operator construction: psi_two, then N - 2 psi_steps."""
-    psi = psi_two(v, v, J, D)
+    psi = psi_two(v, v, J)
     for _ in range(N - 2):
-        psi = psi_step(v, psi, J, D)
+        psi = psi_step(v, psi, J)
     return psi
 
 
@@ -86,7 +87,7 @@ class TestPsiTwo:
     @pytest.mark.parametrize("gam,J,D", [(1, Fraction(1), 2), (2, Fraction(1, 2), 4)])
     def test_closed_form_linear_surrogate(self, gam, J, D):
         v = surrogate([1, gam], D, pad_to=2)
-        got = diagonal_series(psi_two(v, v, J, D))
+        got = diagonal_series(psi_two(v, v, J))
         expected = [
             Fraction(1) + 2 * J**2 * D * gam**2,
             2 * gam + 4 * J * gam**2,
@@ -97,7 +98,7 @@ class TestPsiTwo:
     def test_zero_coupling_factorizes(self):
         v1 = surrogate([1, 2, 3], 2, pad_to=6)
         v2 = surrogate([2, 0, 5], 2, pad_to=6)
-        got = psi_two(v1, v2, Fraction(0), 2)
+        got = psi_two(v1, v2, Fraction(0))
         expected = rational_univariate(v1.coefficients, "g11", 6) * rational_univariate(
             v2.coefficients, "g22", 6
         )
@@ -105,12 +106,12 @@ class TestPsiTwo:
 
     def test_constant_transform_fixed_point(self):
         v = surrogate([1], 2, pad_to=4)
-        got = psi_two(v, v, Fraction(5), 2)
+        got = psi_two(v, v, Fraction(5))
         assert got == TruncatedPoly.constant(1, PAIR_VARS, 4, RATIONAL)
 
     def test_swap_symmetry(self):
         v = surrogate([3, 1, 4, 1, 5], 4, pad_to=10)
-        p = psi_two(v, v, Fraction(2, 3), 4)
+        p = psi_two(v, v, Fraction(2, 3))
         assert p == p.relabel({"g11": "g22", "g22": "g11"})
 
 
@@ -119,7 +120,7 @@ class TestPsiStep:
         rng = np.random.default_rng(23)
         prev = random_poly(PAIR_VARS, 5, rng, n_terms=8, cap=8)
         v = surrogate([2, 1, 1], 2, pad_to=8)
-        got = psi_step(v, prev, Fraction(0), 2)
+        got = psi_step(v, prev, Fraction(0))
         diag = diagonal_series(prev)  # prev at (g22, g22, g22)
         expected = rational_univariate(v.coefficients, "g11", 8) * rational_univariate(
             diag, "g22", 8
@@ -131,13 +132,13 @@ class TestPsiStep:
         prev = TruncatedPoly.monomial((0, 0, 1), 1, PAIR_VARS, 5, RATIONAL)
         v = surrogate([1], 2, pad_to=5)
         for J in (Fraction(0), Fraction(2), Fraction(7, 3)):
-            got = psi_step(v, prev, J, 2)
+            got = psi_step(v, prev, J)
             assert got == TruncatedPoly.monomial((0, 1, 0), 1, PAIR_VARS, 5, RATIONAL)
 
     def test_chain_consistency_against_oracle(self):
         M = 12
         v = laplace_transform(SPHERE, 2, M)
-        p3 = psi_step(v, psi_two(v, v, 0.5, 2), 0.5, 2)
+        p3 = psi_step(v, psi_two(v, v, 0.5), 0.5)
         val = np.polynomial.polynomial.polyval(
             -0.49, np.array(diagonal_series(p3), float)
         )
@@ -169,16 +170,16 @@ class TestEngineEquivalence:
         v = surrogate(coeffs, D, pad_to=M)
         if J is None:
             J = Fraction(int(rng.integers(1, 6)), 7)
-        op = diagonal_series(operator_kernel(v, N, J, D))
-        fast = phi_from_transform(v, [N], J, D)[N]
+        op = diagonal_series(operator_kernel(v, N, J))
+        fast = phi_from_transform(v, [N], J)[N]
         assert op == list(fast.coefficients)
 
     def test_float_engines_agree_near_machine(self):
         # a degree-3 kernel with cap 12 leaves no truncation pressure at N=3,
         # so the two truncation schemes coincide up to rounding
         v = cubic_sphere_kernel(2)
-        op = diagonal_series(operator_kernel(v, 3, 0.5, 2))
-        fast = phi_from_transform(v, [3], 0.5, 2)[3].coefficients
+        op = diagonal_series(operator_kernel(v, 3, 0.5))
+        fast = phi_from_transform(v, [3], 0.5)[3].coefficients
         assert np.allclose(op, fast[: len(op)], rtol=1e-12, atol=1e-300)
         assert not any(fast[len(op) :])
 
@@ -188,7 +189,7 @@ class TestEngineEquivalence:
     def test_float_kernel_matches_term_by_term(self, D, J, N):
         # a coefficient in the wrong slot leaves the diagonal sums unchanged
         v = cubic_sphere_kernel(D)
-        op, fast = operator_kernel(v, N, J, D), psi_kernel(v, N, J, D)
+        op, fast = operator_kernel(v, N, J), psi_kernel(v, N, J)
         assert sorted(fast.terms) == sorted(op.terms)
         for key, c in op.terms.items():
             assert abs(fast.terms[key] - c) < 1e-12 * abs(c)
@@ -202,8 +203,8 @@ class TestEngineEquivalence:
         v = surrogate(coeffs, 4, pad_to=12)
         for J in (Fraction(3, 7), Fraction(-7, 3), Fraction(5), Fraction(0)):
             for N in (2, 3, 4):
-                op = operator_kernel(v, N, J, 4)
-                fast = psi_kernel(v, N, J, 4)
+                op = operator_kernel(v, N, J)
+                fast = psi_kernel(v, N, J)
                 assert op == fast
                 assert all(type(c) is Fraction for c in fast.terms.values())
 
@@ -214,7 +215,7 @@ class TestEngineEquivalence:
         # chain yields kernels from N = 2 on (N = 1 has none)
         coeffs = [Fraction(6, 5), Fraction(4, 9), Fraction(0), Fraction(2, 7)]
         v = surrogate(coeffs, 4, pad_to=8)
-        for (Pn, dP), _ in itertools.islice(recursion._chain(v, J, 4), 1, 5):
+        for (Pn, dP), _ in itertools.islice(recursion._chain(v, J), 1, 5):
             numerators = [x for plane in Pn for row in plane for x in row]
             assert dP > 0 and math.gcd(dP, *numerators) == 1
 
@@ -232,36 +233,61 @@ class TestEngineEquivalence:
         # tail but their ladder-stable low coefficients coincide
         v12 = laplace_transform(SPHERE, 2, 12)
         v16 = laplace_transform(SPHERE, 2, 16)
-        op = diagonal_series(operator_kernel(v16, 3, 0.5, 2))
-        fast = phi_from_transform(v12, [3], 0.5, 2)[3].coefficients
+        op = diagonal_series(operator_kernel(v16, 3, 0.5))
+        fast = phi_from_transform(v12, [3], 0.5)[3].coefficients
         assert np.allclose(op[:6], fast[:6], rtol=1e-10)
 
 
 class TestDimensionCheck:
-    """The chain driver checks D once, for both fields and every J."""
+    """The chain reads D from its transform and checks it once, for both
+    fields and every J."""
 
     @staticmethod
-    def transform(field):
+    def transform(field, D):
         one = Fraction(1) if field == RATIONAL else 1.0
-        return surrogate([one, one / 2, one / 3], 4, field), (0 * one, one / 2)
+        return surrogate([one, one / 2, one / 3], D, field), (0 * one, one / 2)
 
     @pytest.mark.parametrize("D", [0, -2, 2.5, Fraction(5, 2)], ids=str)
     @pytest.mark.parametrize("field", [FLOAT, RATIONAL])
     def test_rejects_a_dimension_that_is_not_a_positive_integer(self, field, D):
-        v, couplings = self.transform(field)
+        v, couplings = self.transform(field, D)
         for J in couplings:
             with pytest.raises(ValueError, match="dimension must be a positive integer"):
-                phi_from_transform(v, [2], J, D)
+                phi_from_transform(v, [2], J)
             with pytest.raises(ValueError, match="dimension must be a positive integer"):
-                psi_kernel(v, 2, J, D)
+                psi_kernel(v, 2, J)
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                psi_two(v, v, J)
 
     @pytest.mark.parametrize("field", [FLOAT, RATIONAL])
     def test_integral_dimension_runs_as_an_int(self, field):
-        v, couplings = self.transform(field)
+        v, couplings = self.transform(field, Fraction(4))
         for J in couplings:
-            series = phi_from_transform(v, [2], J, Fraction(4))[2]
-            assert series == phi_from_transform(v, [2], J, 4)[2]
+            series = phi_from_transform(v, [2], J)[2]
+            assert series == phi_from_transform(self.transform(field, 4)[0], [2], J)[2]
             assert type(series.dimension) is int
+
+    @pytest.mark.parametrize("fn", [phi_from_transform, psi_kernel, psi_two, psi_step])
+    def test_no_dimension_parameter(self, fn):
+        assert "D" not in inspect.signature(fn).parameters
+
+    def test_chain_carries_its_transforms_dimension(self):
+        v = laplace_transform(SPHERE, 2, 8)
+        series = phi_from_transform(v, [2], 0.5)[2]
+        assert series.dimension == 2
+        assert series == phi_chain([2], 2, 0.5, SPHERE, 8)[2]
+
+    def test_psi_two_rejects_transforms_of_two_dimensions(self):
+        v2, v4 = laplace_transform(SPHERE, 2, 6), laplace_transform(SPHERE, 4, 6)
+        with pytest.raises(ValueError, match="different dimensions"):
+            psi_two(v2, v4, 0.5)
+
+    @pytest.mark.parametrize("field,kind", [(FLOAT, float), (RATIONAL, Fraction)])
+    def test_chain_coefficients_have_the_transforms_type(self, field, kind):
+        v = laplace_transform(SPHERE, 2, 10, field)
+        chain = phi_from_transform(v, [1, 2, 3], kind(1) / 2)
+        assert all(type(c) is kind for series in chain.values() for c in series.coefficients)
+
 
 class TestFloatStepPinned:
     """The float step's output bits, recorded before its vectorisation.
@@ -316,12 +342,12 @@ class TestFloatStepPinned:
     @staticmethod
     def wide_kernel(kind, D, J):
         measure = SPHERE if kind == "sphere" else RadialMeasure.density([1], [0, 1, 0.5])
-        return psi_kernel(laplace_transform(measure, D, 20), 3, J, D)
+        return psi_kernel(laplace_transform(measure, D, 20), 3, J)
 
     @pytest.mark.parametrize("N,D,J", sorted(PINS))
     def test_kernel_bits(self, N, D, J):
         v = laplace_transform(SPHERE, D, 30)
-        assert self.digest(psi_kernel(v, N, J, D)) == self.PINS[(N, D, J)]
+        assert self.digest(psi_kernel(v, N, J)) == self.PINS[(N, D, J)]
 
     @pytest.mark.parametrize("kind,D,J", sorted(WIDE_PINS))
     def test_wide_kernel_bits(self, kind, D, J):
@@ -330,7 +356,7 @@ class TestFloatStepPinned:
     @pytest.mark.parametrize("D,J", sorted(TOP_RUNG_PINS))
     def test_top_rung_kernel_bits(self, D, J):
         v = laplace_transform(SPHERE, D, 50)
-        assert self.digest(psi_kernel(v, 3, J, D)) == self.TOP_RUNG_PINS[(D, J)]
+        assert self.digest(psi_kernel(v, 3, J)) == self.TOP_RUNG_PINS[(D, J)]
 
     @pytest.mark.parametrize("kind,D,J", sorted(WIDE_PINS))
     def test_kernel_has_no_term_past_the_cap(self, kind, D, J):
@@ -339,18 +365,14 @@ class TestFloatStepPinned:
 
 
 def test_step_caches_stay_small():
-    # the weight tables and the past-degree mask are cached per degree cap;
-    # caps of 30, 40 and 50 together must stay under 4 MB
+    # the weight tables and the past-degree mask share one cache per degree
+    # cap; caps of 30, 40 and 50 together must stay under 4 MB
     recursion._step_tables.cache_clear()
-    recursion._past_degree.cache_clear()
     for M in (30, 40, 50):
         phi_chain([3], 4, 1.0, SPHERE, M)
     assert recursion._step_tables.cache_info().currsize == 3
-    assert recursion._past_degree.cache_info().currsize == 3
     held = [recursion._step_tables(M) for M in (30, 40, 50)]
-    held += [(recursion._past_degree(M),) for M in (30, 40, 50)]
     assert recursion._step_tables.cache_info().currsize == 3
-    assert recursion._past_degree.cache_info().currsize == 3
     assert sum(arr.nbytes for tables in held for arr in tables) < 4 * 2**20
 
 
@@ -386,7 +408,7 @@ class TestPhi:
         v = laplace_transform(RadialMeasure.sphere(1), 2, M, field)
         tracemalloc.start()
         try:
-            kernel, diag = next(recursion._chain(v, 0.5, 2))
+            kernel, diag = next(recursion._chain(v, 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

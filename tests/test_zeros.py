@@ -75,6 +75,13 @@ class TestFindRoots:
     def test_empty_for_constant(self):
         assert find_roots([2.0, 0.0, 0.0]).roots == ()
 
+    def test_exact_root_at_zero_has_zero_residual(self):
+        # p(0) = 0 and every |c_k 0^k| = 0: the residual is 0, not 0/0
+        rs = find_roots([0.0, 0.0, 1.0, 3.0])
+        assert rs.roots[:2] == (0j, 0j) and rs.roots[2] == pytest.approx(-1 / 3)
+        assert all(rs.converged)
+        assert rs.residuals[:2] == (0.0, 0.0)
+
     def test_non_finite_coefficient_raises(self):
         with pytest.raises(RuntimeError, match="degree 1 is not finite"):
             find_roots([1.0, float("nan"), 1.0])

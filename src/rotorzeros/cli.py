@@ -290,6 +290,7 @@ def _oracle_table(cfg: RunConfig) -> str:
     """Side-by-side phi vs the Funk-Hecke modal series of degree 2 M_top (spheres only).
 
     The oracle's error estimate is its change from the sum of its degree-M_top prefix.
+    A value in a row that is not finite raises ``RuntimeError`` naming N and y.
     """
     if cfg.measure.kind != "sphere":
         raise ConfigError("oracle comparisons require a sphere measure")
@@ -298,13 +299,21 @@ def _oracle_table(cfg: RunConfig) -> str:
     for D, J in itertools.product(cfg.Ds, cfg.Js):
         with _at(D, J):
             chain = phi_chain(cfg.Ns, D, J, cfg.measure, M_top, cfg.backend)
-            modal = phi_modal(cfg.Ns, D, J, float(cfg.measure.radius), 2 * M_top)
+            # an overflowed modal series is caught below as a value that is not finite
+            with np.errstate(all="ignore"):
+                modal = phi_modal(cfg.Ns, D, J, float(cfg.measure.radius), 2 * M_top)
             for N in sorted(chain):
                 for y in cfg.ys:
                     series_val = complex(chain[N].evaluate(-(y * y)))
                     oracle = complex(modal[N].evaluate(-(y * y)))
-                    error = abs(oracle - np.polyval(modal[N].coefficients[M_top::-1], -(y * y)))
+                    with np.errstate(all="ignore"):
+                        error = abs(oracle - np.polyval(modal[N].coefficients[M_top::-1], -(y * y)))
                     rel = float(abs(series_val - oracle) / max(abs(oracle), 1e-300))
+                    if not np.isfinite([series_val, oracle, error, rel]).all():
+                        raise RuntimeError(
+                            f"N={N}, y={_fmt(y)}: not finite: phi {series_val.real!r}, "
+                            f"oracle {oracle.real!r}, oracle error {float(error)!r}"
+                        )
                     lines.append(
                         f"{N},{D},{_fmt(J)},{_fmt(y)},{float(series_val.real)!r},"
                         f"{float(oracle.real)!r},{float(error)!r},{rel!r},funk-hecke-modal"

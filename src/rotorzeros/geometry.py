@@ -64,8 +64,26 @@ def gram_pair(z1: ComplexVec2, z2: ComplexVec2) -> GramTriple:
     return GramTriple(z1.square(), z2.square(), z1.dot(z2))
 
 
-def _in_slit_plane(zeta: complex) -> bool:
-    return not (zeta.imag == 0.0 and zeta.real <= 0.0)
+def _membership(x, y):
+    """Both membership routes over rows of x and y, each of shape (n, 2).
+
+    Returns (spectral, reduced, lam_max, y2, zeta): spectral is lam_max of
+    x x^T + y y^T above y2 = y^2, and reduced is zeta = z^2 = (a - c) + 2ib
+    off the closed negative real axis, with a = x^2, b = x.y and c = y^2.
+    """
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    a = (x * x).sum(axis=1)
+    b = (x * y).sum(axis=1)
+    c = (y * y).sum(axis=1)
+    A00 = x[:, 0] ** 2 + y[:, 0] ** 2
+    A11 = x[:, 1] ** 2 + y[:, 1] ** 2
+    A01 = x[:, 0] * x[:, 1] + y[:, 0] * y[:, 1]
+    # half the eigenvalue gap as a hypot: trace^2/4 - det cancels when A is near c I
+    lam_max = 0.5 * (A00 + A11) + np.hypot(0.5 * (A00 - A11), A01)
+    zeta = (a - c) + 2j * b
+    reduced = ~((zeta.imag == 0.0) & (zeta.real <= 0.0))
+    return lam_max > c, reduced, lam_max, c, zeta
 
 
 def in_L(z: ComplexVec2, tol: float = 1e-12) -> bool:
@@ -76,18 +94,7 @@ def in_L(z: ComplexVec2, tol: float = 1e-12) -> bool:
     the closed negative real axis.  Both must agree; a disagreement
     beyond ``tol`` (relative to the matrix scale) raises.
     """
-    x = np.array(z.x)
-    y = np.array(z.y)
-    A = np.outer(x, x) + np.outer(y, y)
-    half_tr = 0.5 * (A[0, 0] + A[1, 1])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    lam_max = half_tr + math.sqrt(max(half_tr * half_tr - det, 0.0))
-    y2 = float(y @ y)
-    spectral = lam_max > y2
-
-    zeta = z.square()
-    reduced = _in_slit_plane(zeta)
-
+    spectral, reduced, lam_max, y2, zeta = (v[0] for v in _membership([z.x], [z.y]))
     if spectral != reduced:
         margin = abs(lam_max - y2)
         scale = 1.0 + abs(lam_max) + abs(y2)
@@ -96,8 +103,8 @@ def in_L(z: ComplexVec2, tol: float = 1e-12) -> bool:
                 f"membership routes disagree: spectral={spectral} (margin {margin:.3e}), "
                 f"reduced={reduced} at zeta={zeta}"
             )
-        return reduced  # boundary rounding: the algebraic route decides
-    return spectral
+        return bool(reduced)  # boundary rounding: the algebraic route decides
+    return bool(spectral)
 
 
 def in_L_many(x: np.ndarray, y: np.ndarray):
@@ -106,23 +113,7 @@ def in_L_many(x: np.ndarray, y: np.ndarray):
     Returns (spectral, reduced) boolean arrays so callers can assert the
     two implementations agree in bulk.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    a = (x * x).sum(axis=1)
-    b = (x * y).sum(axis=1)
-    c = (y * y).sum(axis=1)
-    # A = x x^T + y y^T has trace a + c and det a*c - b^2 ... for 2x2 rank data:
-    A00 = x[:, 0] ** 2 + y[:, 0] ** 2
-    A11 = x[:, 1] ** 2 + y[:, 1] ** 2
-    A01 = x[:, 0] * x[:, 1] + y[:, 0] * y[:, 1]
-    half_tr = 0.5 * (A00 + A11)
-    det = A00 * A11 - A01 * A01
-    lam_max = half_tr + np.sqrt(np.maximum(half_tr**2 - det, 0.0))
-    spectral = lam_max > c
-    zeta_re = a - c
-    zeta_im = 2.0 * b
-    reduced = ~((zeta_im == 0.0) & (zeta_re <= 0.0))
-    return spectral, reduced
+    return _membership(x, y)[:2]
 
 
 def _square_pair_parameters(zeta2: complex):
@@ -147,49 +138,15 @@ def _square_pair_parameters(zeta2: complex):
     return x2sq, a
 
 
-def _is_real_branch(zeta: complex) -> bool:
-    return abs(zeta.imag) < REAL_BRANCH_TOL * (1.0 + abs(zeta))
-
-
-def _preimage_real_first(zeta1: complex, zeta2: complex, zeta12: complex):
-    """Branch with zeta1 real positive: y1 orthogonal to x1, closed-form y1^2."""
-    xi1 = zeta1.real
-    if xi1 <= 0.0:
-        raise ValueError(f"zeta1={zeta1} lies on the excluded half-line")
-    x2sq, a = _square_pair_parameters(zeta2)
-    xi12, eta12 = zeta12.real, zeta12.imag
-    gamma = (xi12 + a * eta12) / (1.0 + a * a)
-    delta = (eta12 - a * xi12) / (1.0 + a * a)
-    base = gamma * gamma + delta * delta - xi1 * x2sq
-    y1sq = (base + math.sqrt(base * base + 4.0 * delta * delta * xi1 * x2sq)) / (
-        2.0 * x2sq
-    )
-    y1sq = max(y1sq, 0.0)
-    x1len = math.sqrt(xi1 + y1sq)
-    x1 = (x1len, 0.0)
-    if y1sq > 0.0:
-        y1len = math.sqrt(y1sq)
-        y1 = (0.0, y1len)
-        x2 = (gamma / x1len, delta / y1len)
-    else:
-        # degenerate: delta = 0 and gamma^2 <= xi1 * x2sq; pick x2 in-plane
-        y1 = (0.0, 0.0)
-        ortho = math.sqrt(max(x2sq - gamma * gamma / xi1, 0.0))
-        x2 = (gamma / x1len, ortho)
-    y2 = (a * x2[0], a * x2[1])
-    return ComplexVec2(x1, y1), ComplexVec2(x2, y2)
-
-
 def _preimage_generic(zeta1: complex, zeta2: complex, zeta12: complex):
-    """Both slots off the real axis: z2 = (1 + ia) x2 along e1, z1 solved.
+    """z2 = (1 + ia) x2 along e1, z1 solved; any admissible slot, real or not.
 
     With gamma = x1.x2 and delta = y1.x2 fixed by the cross equations,
     x1 = (gamma/|x2|, s) and y1 = (delta/|x2|, t) satisfy z1^2 = zeta1 iff
 
         s*t = eta1/2 - gamma*delta/x2^2,   s^2 - t^2 = xi1 - (gamma^2-delta^2)/x2^2,
 
-    which always has the real solution used here.  This reduces to the
-    real-branch closed form when eta1 = 0.
+    which always has the real solution used here.
     """
     x2sq, a = _square_pair_parameters(zeta2)
     x2len = math.sqrt(x2sq)
@@ -205,30 +162,20 @@ def _preimage_generic(zeta1: complex, zeta2: complex, zeta12: complex):
     else:
         t = math.sqrt(0.5 * (h - Q))
         s = P / t
-    x1 = (gamma / x2len, s)
-    y1 = (delta / x2len, t)
-    x2 = (x2len, 0.0)
-    y2 = (a * x2len, 0.0)
-    return ComplexVec2(x1, y1), ComplexVec2(x2, y2)
+    z1 = ComplexVec2((gamma / x2len, s), (delta / x2len, t))
+    return z1, ComplexVec2((x2len, 0.0), (a * x2len, 0.0))
 
 
 def preimage_pair(t: GramTriple):
     """A pair (z1, z2) in L x L with gram_pair(z1, z2) = t.
 
-    Requires zeta1, zeta2 off the closed negative real axis; zeta12 is
-    arbitrary.  Real-axis slots route through the orthogonal closed-form
-    branch; otherwise the generic joint construction is used.
+    Requires zeta1, zeta2 off the closed negative real axis: a slot within
+    ``REAL_BRANCH_TOL`` (relative) of it raises ``ValueError``.  zeta12 is
+    arbitrary.
     """
-    z1_real = _is_real_branch(t.zeta1)
-    z2_real = _is_real_branch(t.zeta2)
     for zeta, name in ((t.zeta1, "zeta1"), (t.zeta2, "zeta2")):
-        if _is_real_branch(zeta) and zeta.real <= 0.0:
+        if abs(zeta.imag) < REAL_BRANCH_TOL * (1.0 + abs(zeta)) and zeta.real <= 0.0:
             raise ValueError(f"{name}={zeta} lies on the excluded half-line")
-    if z1_real:
-        return _preimage_real_first(t.zeta1, t.zeta2, t.zeta12)
-    if z2_real:
-        z2, z1 = _preimage_real_first(t.zeta2, t.zeta1, t.zeta12)
-        return z1, z2
     return _preimage_generic(t.zeta1, t.zeta2, t.zeta12)
 
 
@@ -241,35 +188,27 @@ def preimage_residual(t: GramTriple, z1: ComplexVec2, z2: ComplexVec2) -> float:
     )
 
 
+def _gram_monomials(z1: ComplexVec2, z2: ComplexVec2, z3: ComplexVec2):
+    """The five monomials of the rank cubic on the Gram data of three 2-vectors."""
+    g11, g22, g33 = z1.square(), z2.square(), z3.square()
+    g12, g13, g23 = z1.dot(z2), z1.dot(z3), z2.dot(z3)
+    return (g11 * g22 * g33, 2.0 * g12 * g23 * g13,
+            g11 * g23 * g23, g22 * g13 * g13, g33 * g12 * g12)
+
+
 def gram_image_residual(z1: ComplexVec2, z2: ComplexVec2, z3: ComplexVec2) -> complex:
     """The cubic constraint on Gram data of three 2-vectors.
 
     g11 g22 g33 + 2 g12 g23 g13 - g11 g23^2 - g22 g13^2 - g33 g12^2,
     identically zero (up to rounding) because rank <= 2.
     """
-    g11, g22, g33 = z1.square(), z2.square(), z3.square()
-    g12, g13, g23 = z1.dot(z2), z1.dot(z3), z2.dot(z3)
-    return (
-        g11 * g22 * g33
-        + 2.0 * g12 * g23 * g13
-        - g11 * g23 * g23
-        - g22 * g13 * g13
-        - g33 * g12 * g12
-    )
+    m = _gram_monomials(z1, z2, z3)
+    return m[0] + m[1] - m[2] - m[3] - m[4]
 
 
 def gram_cubic_scale(z1: ComplexVec2, z2: ComplexVec2, z3: ComplexVec2) -> float:
     """Magnitude scale of the cubic's monomials, for relative residuals."""
-    g11, g22, g33 = z1.square(), z2.square(), z3.square()
-    g12, g13, g23 = z1.dot(z2), z1.dot(z3), z2.dot(z3)
-    return max(
-        abs(g11 * g22 * g33),
-        2.0 * abs(g12 * g23 * g13),
-        abs(g11 * g23 * g23),
-        abs(g22 * g13 * g13),
-        abs(g33 * g12 * g12),
-        1e-30,
-    )
+    return max(*(abs(m) for m in _gram_monomials(z1, z2, z3)), 1e-30)
 
 
 def sample_slit_plane(rng, size, box=3.0):

@@ -271,6 +271,8 @@ def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TO
     that need only the verdicts pass ``solved_rungs(ladder)``; the
     exact-chain benchmark passes its whole ladder and records each rung's
     coefficients.  N = 1 is the single-spin transform: no recursion step.
+    A solved rung whose last nonzero coefficient is not above the lower
+    rung's raises ``RuntimeError`` naming N and both rungs.
     """
     degrees = sorted(set(int(m) for m in degree_ladder))
     if len(degrees) < 2:
@@ -280,4 +282,15 @@ def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TO
         chain = phi_chain(Ns, D, J, measure, M, field)
         for n in Ns:
             per_n[n][M] = chain[n].float_coefficients()
-    return {n: stabilize_series(per_n[n], tol=tol, drift_tol=drift_tol) for n in Ns}
+    reports = {n: stabilize_series(per_n[n], tol=tol, drift_tol=drift_tol) for n in Ns}
+    # a measure's series has no zero coefficient: a rung no higher in degree than
+    # the one below has underflowed, and its drift check compares a root with itself
+    lower, top = solved_rungs(degrees)
+    for n in Ns:
+        d_lower, d_top = (max(np.flatnonzero(per_n[n][M]), default=-1) for M in (lower, top))
+        if d_top <= d_lower:
+            raise RuntimeError(
+                f"N={n}: series underflowed: rung {top} reaches degree {d_top}, "
+                f"not above rung {lower}'s degree {d_lower}"
+            )
+    return reports

@@ -275,6 +275,15 @@ class TestRun:
         data = json.loads((tmp_path / "out" / "geometry_selftest.json").read_text())
         assert data["overall_pass"] is True
 
+    def test_geometry_selftest_bits_at_seed_0(self, tmp_path):
+        # sha256 of geometry_selftest.json at seed 0, as written before the
+        # membership routes and the preimage construction were merged
+        assert main(["geometry-selftest", "--seed", "0", "--out", str(tmp_path)]) == 0
+        body = (tmp_path / "geometry_selftest.json").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == (
+            "5d418f5699558d51733d831b49a2693695960b80dbd4f364e443dbc868b2a76d"
+        )
+
     @pytest.mark.parametrize(
         "command, overrides",
         [("geometry-selftest", {}), ("counterexample-scan", {"D": [1], "degreeLadder": [12, 16]})],
@@ -457,6 +466,18 @@ class TestRun:
             "numeric failure: D=2, J=0.5: series underflowed: coefficient of degree 80 is subnormal"
         ]
 
+    def test_underflowed_rung_pair_exits_3(self, tmp_path):
+        # both rungs trim to degree 1 at r = 1e-300: no verdict from a vacuous ladder
+        tiny = {"kind": "sphere", "radius": 1e-300}
+        cfg = RunConfig.from_dict(make_config(tmp_path, measure=tiny, N=[3], degreeLadder=[5, 6]))
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdicts"] == []
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: N=3: series underflowed: "
+            "rung 6 reaches degree 1, not above rung 5's degree 1"
+        ]
+
     def test_overflow_exits_3(self, tmp_path):
         # sphere coefficients r^n / (4^n n!^2) pass the float range at r = 1e300;
         # the OverflowError is recorded, naming its (D, J) pair, not a
@@ -487,6 +508,22 @@ class TestRun:
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
+
+    @pytest.mark.parametrize(
+        "radius, J, y", [(1e6, 0.5, 100.0), (1000, 1, 0.5), (1.0, 0.5, 1e200)]
+    )
+    def test_oracle_compare_value_not_finite_exits_3(self, tmp_path, radius, J, y):
+        # the modal series overflows (or y^2 does); any warning would fail this test
+        sphere = {"kind": "sphere", "radius": radius}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(
+            tmp_path, command="oracle-compare", measure=sphere, J=[J], y=[y], degreeLadder=[10, 20]
+        )))
+        assert main(["--config", str(cfg_path)]) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        [error] = report["errors"]
+        assert error.startswith(f"numeric failure: D=2, J={J:g}: N=2, y={y:g}: not finite: ")
+        assert not (tmp_path / "out" / "oracle_compare.csv").exists()
 
     def test_phi_overflow_names_its_item(self, tmp_path):
         cfg = RunConfig.from_dict(make_config(tmp_path, command="phi", J=[1e308], degreeLadder=[10, 12]))

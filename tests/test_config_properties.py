@@ -1,10 +1,12 @@
 """Properties of configs: any JSON-shaped config parses to a RunConfig or
-raises ConfigError, and a small valid verify config runs to an exit status."""
+raises ConfigError, and a small valid verify, laplace, phi or oracle-compare
+config runs to an exit status."""
 
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,31 +77,47 @@ def test_from_dict_returns_config_or_raises_config_error(data):
     assert isinstance(cfg, RunConfig)
 
 
-# small valid verify configs, in both backends
 RUNGS = st.integers(0, 8).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 10)))
-VERIFY_CONFIGS = st.fixed_dictionaries(
-    {
-        "command": st.just("verify"),
-        "measure": st.fixed_dictionaries(
-            {"kind": st.just("sphere"), "radius": st.sampled_from([0.5, 1, 2])}
-        ),
-        "N": st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
-        "D": st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2, unique=True),
-        # one-decimal couplings in [-2, 2], 0 included
-        "J": st.lists(st.integers(-20, 20).map(lambda k: k / 10), min_size=1, max_size=2, unique=True),
-        "degreeLadder": RUNGS.map(list),
-        "backend": st.sampled_from(["float64", "rational"]),
-        "jobs": st.just(1),
-    }
-)
 
 
-@settings(max_examples=20, deadline=None)
-@given(data=VERIFY_CONFIGS)
-def test_valid_verify_config_ends_in_a_status(data):
-    # 0 verified, 1 violated in the theorem regime, 3 a recorded numeric
-    # failure; an exception escaping main is a bug
+def small_configs(command, radii):
+    """Small valid sphere configs of one command, in both backends."""
+    return st.fixed_dictionaries(
+        {
+            "command": st.just(command),
+            "measure": st.fixed_dictionaries(
+                {"kind": st.just("sphere"), "radius": st.sampled_from(radii)}
+            ),
+            "N": st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+            "D": st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2, unique=True),
+            # one-decimal couplings in [-2, 2], 0 included
+            "J": st.lists(st.integers(-20, 20).map(lambda k: k / 10), min_size=1, max_size=2, unique=True),
+            "degreeLadder": RUNGS.map(list),
+            "backend": st.sampled_from(["float64", "rational"]),
+            "jobs": st.just(1),
+        }
+    )
+
+
+def ends_in_a_status(data):
+    # 0 completed or verified, 1 violated in the theorem regime, 3 a
+    # recorded numeric failure; an exception escaping main (exit 4), or a
+    # warning, which the test settings turn into one, is a bug
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps({**data, "outputDir": str(Path(tmp) / "out")}))
-        assert main(["--config", str(path)]) in (0, 1, 3)
+        return main(["--config", str(path)]) in (0, 1, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=small_configs("verify", [0.5, 1, 2]))
+def test_valid_verify_config_ends_in_a_status(data):
+    assert ends_in_a_status(data)
+
+
+# radius 1000 overflows the Funk-Hecke modal series that oracle-compare reads
+@pytest.mark.parametrize("command", ["laplace", "phi", "oracle-compare"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_valid_config_of_another_command_ends_in_a_status(command, data):
+    assert ends_in_a_status(data.draw(small_configs(command, [0.5, 1, 2, 1000])))

@@ -31,6 +31,16 @@ class TestMembership:
         # z^2 = 0 sits on the excluded half-line boundary; never strict
         assert not in_L(ComplexVec2((1, 1), (1, -1)))
 
+    def test_near_isotropic_matrix(self):
+        # |x| ~ |y| ~ 1e6 with x nearly orthogonal to y: x x^T + y y^T is near
+        # 1e12 I, where trace^2/4 - det loses the eigenvalue gap of 200
+        for k in range(1, 100):
+            c, s = math.cos(0.01 * k), math.sin(0.01 * k)
+            for p, q in ((1e6, 1e6 - 1e-4), (1e6 - 1e-4, 1e6)):
+                z = ComplexVec2((p * c, p * s), (-q * s, q * c))
+                zeta = z.square()
+                assert in_L(z) == (not (zeta.imag == 0 and zeta.real <= 0))
+
     def test_routes_agree_in_bulk(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((20000, 2))
@@ -57,10 +67,11 @@ class TestPreimage:
         assert in_L(z1) and in_L(z2)
 
     def test_documented_real_real_case(self):
+        # z2 lies along e1, so the orthogonal z1 takes e2
         t = GramTriple(1 + 0j, 1 + 0j, 0j)
         z1, z2 = preimage_pair(t)
-        assert z1 == ComplexVec2((1, 0), (0, 0))
-        assert z2 == ComplexVec2((0, 1), (0, 0))
+        assert z1 == ComplexVec2((0, 1), (0, 0))
+        assert z2 == ComplexVec2((1, 0), (0, 0))
 
     def test_generic_branch_round_trip(self):
         rng = np.random.default_rng(6)
@@ -75,11 +86,33 @@ class TestPreimage:
             assert in_L(z1) and in_L(z2)
 
     def test_real_second_slot_round_trip(self):
-        # zeta2 on the positive real axis, zeta1 off it: the real-first
-        # branch runs with the slots swapped
+        # zeta2 on the positive real axis, zeta1 off it: a = 0, so z2 is real
         t = GramTriple(1 + 1j, 2 + 0j, 0.5 - 0.3j)
         z1, z2 = preimage_pair(t)
         assert preimage_residual(t, z1, z2) < 1e-10
+        assert in_L(z1) and in_L(z2)
+
+    @pytest.mark.parametrize("real_slots", [(True, False), (False, True), (True, True)])
+    def test_exactly_real_slots_across_scales(self, real_slots):
+        # one scale per triple, from 1e-6 to 1e3; the residual is relative to
+        # 1 + |zeta1| + |zeta2| + |zeta12|
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-6, 3)
+            z = scale * rng.uniform(0.1, 2, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+            zeta1, zeta2 = (complex(abs(w)) if real else complex(w) for w, real in zip(z, real_slots))
+            t = GramTriple(zeta1, zeta2, complex(z[2]))
+            z1, z2 = preimage_pair(t)
+            size = 1 + abs(t.zeta1) + abs(t.zeta2) + abs(t.zeta12)
+            assert preimage_residual(t, z1, z2) <= 1e-13 * size
+            assert in_L(z1) and in_L(z2)
+
+    def test_real_slot_beside_spread_scales(self):
+        # zeta1 real, |zeta2| ~ 700 and |zeta12| ~ 7e-6 in one triple
+        t = GramTriple(18.399521512290594 + 0j, -661.1590625783002 + 201.99174206006614j,
+                       1.825966797237251e-06 + 7.007810737620761e-06j)
+        z1, z2 = preimage_pair(t)
+        assert preimage_residual(t, z1, z2) <= 1e-13 * (1 + abs(t.zeta1) + abs(t.zeta2) + abs(t.zeta12))
         assert in_L(z1) and in_L(z2)
 
     def test_rejects_excluded_half_line(self):

@@ -183,6 +183,12 @@ class TestStabilize:
         ladder = {10: coeffs + [0.0] * 8, 12: coeffs + [0.0] * 10}
         assert stabilize_series({8: [1.0, -1.0, 5.0], **ladder}) == stabilize_series(ladder)
 
+    def test_underflowed_rungs_raise(self):
+        # at r = 1e-300 the series is (pi, 7.85e-301, 0.0, ...), so both rungs
+        # trim to degree 1 and the one root would be compared with itself
+        with pytest.raises(RuntimeError, match=r"N=1: .* rung 6 reaches degree 1, not above rung 5's degree 1"):
+            stabilize_chain([1, 3], 2, 0.5, RadialMeasure.sphere(1e-300), (5, 6))
+
     @pytest.mark.parametrize("D", [2, 4, 6])
     def test_certified_density_verified(self, D):
         # phi^4-type density: in the certified family for every dimension

@@ -49,7 +49,6 @@ from .recursion import (
 )
 from .zeros import (
     ZeroReport,
-    classify_lee_yang,
     find_roots,
     stabilize_chain,
     stable_coefficient_count,

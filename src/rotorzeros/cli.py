@@ -204,6 +204,8 @@ class RunConfig:
             ("J", not all(_finite(j) for j in self.Js), "couplings J must be finite"),
             ("measure", self.measure.kind == "sphere" and not _finite(self.measure.radius),
              "a sphere radius must be finite"),
+            ("measure", self.command == "oracle-compare" and self.measure.kind != "sphere",
+             "oracle comparisons require a sphere measure"),
             ("measure", self.measure.kind == "tabulated" and 1 in self.Ds,
              "tabulated profiles do not support D=1 (singular moment at s=0)"),
             ("y", not all(math.isfinite(y) for y in self.ys), "oracle points y must be finite"),
@@ -268,17 +270,18 @@ def _fmt(x):
 
 
 @contextlib.contextmanager
-def _at(D, J):
-    """Name the (D, J) item in a numeric failure raised inside."""
+def _at(**item):
+    """Name the item (its D, and its J where one is read) in a numeric failure raised inside."""
     try:
         yield
     except NUMERIC_ERRORS as exc:
-        raise RuntimeError(f"D={D}, J={_fmt(J)}: {exc}") from exc
+        where = ", ".join(f"{key}={value}" for key, value in item.items())
+        raise RuntimeError(f"{where}: {exc}") from exc
 
 
 def _stabilize_task(cfg: RunConfig, D, J):
     """Stabilized zeros of every N in cfg.Ns from one (D, J) chain, keyed (N, D, J)."""
-    with _at(D, J):
+    with _at(D=D, J=_fmt(J)):
         reports = stabilize_chain(
             cfg.Ns, D, J, cfg.measure, solved_rungs(cfg.degree_ladder),
             tol=cfg.axis_tol, drift_tol=cfg.drift_tol, field=cfg.backend,
@@ -292,12 +295,10 @@ def _oracle_table(cfg: RunConfig) -> str:
     The oracle's error estimate is its change from the sum of its degree-M_top prefix.
     A value in a row that is not finite raises ``RuntimeError`` naming N and y.
     """
-    if cfg.measure.kind != "sphere":
-        raise ConfigError("oracle comparisons require a sphere measure")
     M_top = max(cfg.degree_ladder)
     lines = ["N,D,J,y,phi_value,oracle_value,oracle_error,rel_diff,method"]
     for D, J in itertools.product(cfg.Ds, cfg.Js):
-        with _at(D, J):
+        with _at(D=D, J=_fmt(J)):
             chain = phi_chain(cfg.Ns, D, J, cfg.measure, M_top, cfg.backend)
             # an overflowed modal series is caught below as a value that is not finite
             with np.errstate(all="ignore"):
@@ -371,13 +372,14 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.command == "laplace":
             for D in cfg.Ds:
-                v = laplace_transform(cfg.measure, D, max(cfg.degree_ladder), cfg.backend)
+                with _at(D=D):
+                    v = laplace_transform(cfg.measure, D, max(cfg.degree_ladder), cfg.backend)
                 _write_artifact(outdir, f"laplace_{D}.csv", v.to_csv(), cfg_hash)
         elif cfg.command == "phi":
             rungs = solved_rungs(cfg.degree_ladder)
             for D in cfg.Ds:
                 for J in cfg.Js:
-                    with _at(D, J):
+                    with _at(D=D, J=_fmt(J)):
                         chains = [phi_chain(cfg.Ns, D, J, cfg.measure, M, cfg.backend) for M in rungs]
                     for N, series in sorted(chains[-1].items()):
                         lower = chains[0][N] if len(chains) == 2 else None

@@ -415,7 +415,10 @@ def _wd_coefficients(D, r, M, field):
             - math.lgamma(n + 1)
             - math.lgamma(D / 2 + n)
         )
-        coeffs.append(math.exp(log_c))
+        try:
+            coeffs.append(math.exp(log_c))
+        except OverflowError:  # past the float range; laplace_transform names it
+            coeffs.append(math.inf)
     return coeffs
 
 
@@ -565,7 +568,7 @@ def laplace_transform(measure: RadialMeasure, D, M, field=FLOAT) -> LaplaceSerie
     Sphere profiles reduce exactly to the kernel coefficients; smooth and
     tabulated profiles go through the radial moments m_{D/2+n-1}.  Raises
     MeasureError for a measure that fails validate_measure, a D that is not
-    a positive integer, and a negative M.
+    a positive integer, a negative M, and a sphere coefficient that overflows.
     """
     report = _validated(measure)
     if not report.passed:
@@ -587,6 +590,9 @@ def laplace_transform(measure: RadialMeasure, D, M, field=FLOAT) -> LaplaceSerie
     if measure.kind == SPHERE:
         scale = math.pi ** (D / 2)
         coeffs = [scale * c for c in _wd_coefficients(D, measure.radius, M, FLOAT)]
+        bad = [n for n, c in enumerate(coeffs) if not math.isfinite(c)]
+        if bad:
+            raise MeasureError(f"sphere coefficient of degree {bad[0]} overflows at r={measure.radius:g}")
         return LaplaceSeries(tuple(coeffs), D, M, measure.label, FLOAT)
     coeffs = []
     for n in range(M + 1):

@@ -260,7 +260,12 @@ def _advance_float(v_coeffs, P, J, D, M):
         n = np.arange(n1 - 1)
         V[p, : n1 - 1] = 2.0 * (n + 1) * (D + 2.0 * n) * V[p - 1, 1:n1]
     hankel = sliding_window_view(V, n1, axis=1)  # hankel[p, s, i] = V[p, s+i]
-    Jpow = np.array([float(J) ** k for k in range(2 * M + 1)])
+    Jpow = np.ones(2 * M + 1)
+    for k in range(1, 2 * M + 1):
+        try:
+            Jpow[k] = float(J) ** k
+        except OverflowError:
+            raise OverflowError(f"coupling power J^{k} overflows at J={float(J):g}") from None
     # w vanishes past J^last_k, and B[p] past row last_m[p] (-1: all zero)
     last_k = np.flatnonzero(Jpow)[-1]
     live = Bdata.any(axis=2)

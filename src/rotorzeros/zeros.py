@@ -167,43 +167,6 @@ class ZeroReport:
         return "\n".join(lines) + "\n"
 
 
-def classify_lee_yang(roots, tol=AXIS_TOL, stable=None, drifts=None, multiplicities=None):
-    """Classify roots and issue the overall Lee-Yang verdict.
-
-    A root is negative-real only if |Im zeta| <= tol * (1 + |zeta|) and
-    Re zeta < 0; off-axis requires leaving a 10x wider wedge (or a
-    nonnegative real part).  Only stable roots enter the overall verdict.
-    """
-    roots = [complex(r) for r in roots]
-    n = len(roots)
-    stable = [True] * n if stable is None else list(stable)
-    multiplicities = [1] * n if multiplicities is None else list(multiplicities)
-    drifts = [0.0] * n if drifts is None else list(drifts)
-    verdicts = [_classify_root(r, tol) for r in roots]
-    stable_verdicts = [v for v, s in zip(verdicts, stable) if s]
-    if not stable_verdicts:
-        overall = INCONCLUSIVE
-    elif any(v == OFF_AXIS for v in stable_verdicts):
-        overall = VIOLATED
-    elif all(v == NEGATIVE_REAL for v in stable_verdicts):
-        overall = VERIFIED
-    else:
-        overall = INCONCLUSIVE
-    return ZeroReport(
-        tuple(roots),
-        tuple(multiplicities),
-        tuple(verdicts),
-        tuple(bool(s) for s in stable),
-        tuple(drifts),
-        overall,
-    )
-
-
-def default_window(M):
-    """Reporting window: tail coefficients of a truncation are unreliable."""
-    return min(M // 2, 30)
-
-
 def solved_rungs(ladder):
     """The rungs a verdict reads: the top one and the one below, if any."""
     return sorted(set(ladder))[-2:]
@@ -227,22 +190,24 @@ def stable_coefficient_count(lower: LaplaceSeries, upper: LaplaceSeries):
     return count
 
 
-def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
-    """Ladder protocol on precomputed series {M: coefficients}.
+def stabilize_series(lower, upper, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
+    """Ladder verdict from the two solved truncations (ascending coefficients).
 
-    Solves the full truncation at the ``solved_rungs`` of the ladder,
-    clusters nearly-coincident roots, and marks a top-stage cluster stable
-    when a cluster of equal multiplicity in the stage below sits within
-    ``drift_tol`` relative distance and every root of the cluster passed
-    its residual check.  Lower stages are ignored.  Only the first
-    ``default_window(M)`` clusters are reported: beyond that the roots of
-    a truncation carry no information about the entire function.
+    Clusters nearly-coincident roots of each truncation and marks a cluster
+    of ``upper`` stable when a cluster of equal multiplicity of ``lower``
+    sits within ``drift_tol`` relative distance and every root of the
+    cluster passed its residual check.  Only the first min(M // 2, 30)
+    clusters of the degree-M ``upper`` are reported: beyond that the roots
+    of a truncation carry no information about the entire function.
+
+    A root is negative-real only if |Im zeta| <= tol * (1 + |zeta|) and
+    Re zeta < 0; off-axis requires leaving a 10x wider wedge (or a
+    nonnegative real part).  Only stable roots enter the overall verdict:
+    Violated if one is off-axis, Verified if all are negative-real, and
+    Inconclusive otherwise, or when no root is stable.
     """
-    rungs = solved_rungs(series_by_degree)
-    if len(rungs) < 2:
-        raise ValueError("degree ladder needs at least two stages")
-    prev, top = [_cluster(find_roots(series_by_degree[M])) for M in rungs]
-    top = top[: default_window(rungs[-1])]
+    prev, top = (_cluster(find_roots(c)) for c in (lower, upper))
+    top = top[: min((len(upper) - 1) // 2, 30)]
     roots, mults, stable, drifts = [], [], [], []
     used = set()
     for zeta, mult, conv in top:
@@ -260,7 +225,15 @@ def stabilize_series(series_by_degree, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
         mults.append(mult)
         stable.append(bool(ok))
         drifts.append(best_drift if best is not None else math.inf)
-    return classify_lee_yang(roots, tol=tol, stable=stable, drifts=drifts, multiplicities=mults)
+    verdicts = [_classify_root(r, tol) for r in roots]
+    stable_verdicts = {v for v, s in zip(verdicts, stable) if s}
+    if OFF_AXIS in stable_verdicts:
+        overall = VIOLATED
+    elif stable_verdicts == {NEGATIVE_REAL}:
+        overall = VERIFIED
+    else:
+        overall = INCONCLUSIVE
+    return ZeroReport(tuple(roots), tuple(mults), tuple(verdicts), tuple(stable), tuple(drifts), overall)
 
 
 def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TOL, drift_tol=DRIFT_TOL, field="float64"):
@@ -277,17 +250,17 @@ def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TO
     degrees = sorted(set(int(m) for m in degree_ladder))
     if len(degrees) < 2:
         raise ValueError("degree ladder needs at least two stages")
-    per_n = {n: {} for n in Ns}
+    lower, top = solved_rungs(degrees)
+    coeffs = {}
     for M in degrees:
         chain = phi_chain(Ns, D, J, measure, M, field)
-        for n in Ns:
-            per_n[n][M] = chain[n].float_coefficients()
-    reports = {n: stabilize_series(per_n[n], tol=tol, drift_tol=drift_tol) for n in Ns}
+        if M in (lower, top):
+            coeffs[M] = {n: chain[n].float_coefficients() for n in Ns}
+    reports = {n: stabilize_series(coeffs[lower][n], coeffs[top][n], tol, drift_tol) for n in Ns}
     # a measure's series has no zero coefficient: a rung no higher in degree than
     # the one below has underflowed, and its drift check compares a root with itself
-    lower, top = solved_rungs(degrees)
     for n in Ns:
-        d_lower, d_top = (max(np.flatnonzero(per_n[n][M]), default=-1) for M in (lower, top))
+        d_lower, d_top = (max(np.flatnonzero(coeffs[M][n]), default=-1) for M in (lower, top))
         if d_top <= d_lower:
             raise RuntimeError(
                 f"N={n}: series underflowed: rung {top} reaches degree {d_top}, "

@@ -180,7 +180,8 @@ class TestRun:
     ):
         # a sphere at even D and J > 0 is covered by the theorem, so a
         # Violated verdict there is a bug signal; at odd D it is not
-        violated = zeros.classify_lee_yang([complex(-1, 0.5)])
+        pair = [1.25, 2.0, 1.0]  # stable roots -1 +- 0.5i
+        violated = zeros.stabilize_series(pair + [0.0] * 8, pair + [0.0] * 10)
         monkeypatch.setattr(cli, "stabilize_chain", lambda Ns, *args, **kwargs: {N: violated for N in Ns})
         assert run(RunConfig.from_dict(make_config(tmp_path, D=[D]))) == status
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -416,20 +417,26 @@ class TestRun:
         assert RunConfig.from_dict(data).Ds == (1,)
 
     def test_oracle_compare_needs_sphere(self, tmp_path):
+        # a per-command measure rule, so the config is rejected before any work
         density = {"kind": "density", "f": [1.0], "g": [0.0, 0.0, 1.0]}
-        cfg = RunConfig.from_dict(
-            make_config(tmp_path, command="oracle-compare", measure=density)
-        )
-        assert run(cfg) == 2
+        data = make_config(tmp_path, command="oracle-compare", measure=density)
+        with pytest.raises(ConfigError, match="require a sphere measure"):
+            RunConfig.from_dict(data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_numeric_failure_lands_in_report(self, tmp_path):
         # sphere coefficients r^n pass the float range at r = 1e300 only
-        # once the transform is built: recorded, not crashed
+        # once the transform is built: recorded with its D, not crashed
         huge = {"kind": "sphere", "radius": 1e300}
-        cfg = RunConfig.from_dict(make_config(tmp_path, command="laplace", measure=huge))
+        cfg = RunConfig.from_dict(make_config(tmp_path, command="laplace", measure=huge, D=[3, 2]))
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert any("numeric failure" in e for e in report["errors"])
+        assert report["errors"] == [
+            "numeric failure: D=3: sphere coefficient of degree 1 overflows at r=1e+300"
+        ]
 
     @pytest.mark.parametrize("command", ["laplace", "phi", "verify"])
     def test_tabulated_measure_at_one_dimension_exits_2(self, tmp_path, capsys, command):
@@ -480,15 +487,25 @@ class TestRun:
 
     def test_overflow_exits_3(self, tmp_path):
         # sphere coefficients r^n / (4^n n!^2) pass the float range at r = 1e300;
-        # the OverflowError is recorded, naming its (D, J) pair, not a
-        # traceback with exit status 1
+        # the failure is recorded, naming its (D, J) pair and the coefficient,
+        # not a traceback with exit status 1
         huge = {"kind": "sphere", "radius": 1e300}
         cfg = RunConfig.from_dict(make_config(tmp_path, measure=huge, degreeLadder=[10, 12]))
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdicts"] == []
-        assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: sphere coefficient of degree 2 overflows at r=1e+300"
+        ]
         assert report["exit_status"] == 3
+
+    def test_coupling_overflow_names_the_power(self, tmp_path):
+        cfg = RunConfig.from_dict(make_config(tmp_path, J=[1e200]))
+        assert run(cfg) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["errors"] == [
+            "numeric failure: D=2, J=1e+200: coupling power J^2 overflows at J=1e+200"
+        ]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_numeric_failure_names_its_item(self, tmp_path, jobs):
@@ -498,7 +515,9 @@ class TestRun:
         )
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: sphere coefficient of degree 2 overflows at r=1e+300"
+        ]
 
     def test_oracle_compare_overflow_names_its_item(self, tmp_path):
         huge = {"kind": "sphere", "radius": 1e300}
@@ -507,7 +526,9 @@ class TestRun:
         )
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["errors"] == ["numeric failure: D=2, J=0.5: math range error"]
+        assert report["errors"] == [
+            "numeric failure: D=2, J=0.5: sphere coefficient of degree 2 overflows at r=1e+300"
+        ]
 
     @pytest.mark.parametrize(
         "radius, J, y", [(1e6, 0.5, 100.0), (1000, 1, 0.5), (1.0, 0.5, 1e200)]
@@ -551,6 +572,29 @@ class TestRun:
             outputs.append(({f.name: f.read_bytes() for f in out.glob("zeros_*.csv")}, report["verdicts"]))
         assert set(degrees) == {40, 50}
         assert len(outputs[0][0]) == 8 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "grid, count, digest",
+        [
+            (dict(N=[1, 2, 3], D=[2, 3], J=[0.5, -0.3], degreeLadder=[20, 30]), 12,
+             "7a0bbee7bdc5ac0f267bf657b385043629a066626409acdbc1a242c08a447873"),
+            (dict(measure={"kind": "density", "f": [1.0], "g": [0.0, 1.0, 0.5]},
+                  N=[1, 2, 3], D=[2, 4], J=[0.5, -0.3], degreeLadder=[20, 30]), 12,
+             "d380774d92fa1661672670721b583b344d8b061b221f3622608ebb7dde27b37b"),
+            (dict(N=[1, 2, 3], D=[2, 4], J=[0.5], degreeLadder=[10, 12, 14], backend="rational"), 6,
+             "eedd64ed680019d7fde84f59b9056c0e6d7a162873ae5aab0233e78aa3542636"),
+        ],
+        ids=["float-sphere", "phi4-density", "rational-sphere"],
+    )
+    def test_verdict_bits_pinned(self, tmp_path, grid, count, digest):
+        # sha256 over every zeros_*.csv (name, NUL, bytes, in name order),
+        # recorded while the ladder still took a rung dict
+        assert run(RunConfig.from_dict(make_config(tmp_path, **grid))) == 0
+        files = sorted((tmp_path / "out").glob("zeros_*.csv"))
+        h = hashlib.sha256()
+        for f in files:
+            h.update(f.name.encode() + b"\0" + f.read_bytes())
+        assert len(files) == count and h.hexdigest() == digest
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         cfg1 = RunConfig.from_dict(

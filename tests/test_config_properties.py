@@ -121,3 +121,27 @@ def test_valid_verify_config_ends_in_a_status(data):
 @given(data=st.data())
 def test_valid_config_of_another_command_ends_in_a_status(command, data):
     assert ends_in_a_status(data.draw(small_configs(command, [0.5, 1, 2, 1000])))
+
+
+# phi^4, the quartic well exp(-(1 + a) s + 2 s^2 - s^3) at a few a, and (1 + 2 s) exp(-s^4)
+DENSITIES = [
+    {"kind": "density", "f": [1.0], "g": [0.0, 1.0, 0.5]},
+    *({"kind": "density", "f": [1.0], "g": [0.0, 1.0 + a, -2.0, 1.0]} for a in (-3.0, -1.0, 0.0, 2.5)),
+    {"kind": "density", "f": [1.0, 2.0], "g": [0.0, 0.0, 0.0, 0.0, 1.0]},
+]
+LONG_RUNGS = st.integers(0, 40).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 60)))
+
+
+@pytest.mark.parametrize("command", ["verify", "phi", "laplace"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_density_config_with_a_long_ladder_ends_in_a_status(command, data):
+    config = {
+        "command": command,
+        "measure": data.draw(st.sampled_from(DENSITIES)),
+        "N": data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)),
+        "D": [data.draw(st.integers(1, 4))],
+        "J": [data.draw(st.integers(-20, 20)) / 10],
+        "degreeLadder": list(data.draw(LONG_RUNGS)),
+    }
+    assert ends_in_a_status(config)

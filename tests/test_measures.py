@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import types
 from fractions import Fraction
 
@@ -62,6 +63,17 @@ class TestWdSeries:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(MeasureError):
             sphere_transform(2, 0.0, 3)
+
+    def test_log_path_rescues_an_overflowed_power(self):
+        # r^40 overflows, but c_40 = r^40 / (4^40 40!^2) = 1.24e280 is a float
+        c = sphere_transform(2, 1e10, 40).coefficients[40] / math.pi
+        assert c == pytest.approx(float(Fraction(10**400, 4**40 * math.factorial(40) ** 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("D, r, degree", [(2, 1e300, 2), (3, 1e300, 1), (4, 1e308, 0)])
+    def test_coefficient_past_float_range_names_its_degree(self, D, r, degree):
+        # at D = 4, r = 1e308, c_0 = r is a float but pi^2 c_0 is not
+        with pytest.raises(MeasureError, match=re.escape(f"coefficient of degree {degree} overflows at r={r:g}")):
+            sphere_transform(D, r, 10)
 
     def test_odd_dimension_float_allowed(self):
         # half-integer Gamma; D=1, r=1: c_0 = 1/Gamma(1/2) = 1/sqrt(pi)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -414,6 +415,11 @@ class TestPhi:
             tracemalloc.stop()
         assert kernel is None and diag == v.coefficients
         assert peak < 2**20  # the float seed alone is (M+1)^3 * 8 bytes = 1.8 MB
+
+    @pytest.mark.parametrize("J, k", [(1e200, 2), (-1e150, 3)])
+    def test_coupling_power_overflow_names_j_and_k(self, J, k):
+        with pytest.raises(OverflowError, match=re.escape(f"coupling power J^{k} overflows at J={J:g}")):
+            phi_chain([2], 2, J, SPHERE, 10)
 
     @pytest.mark.parametrize("D", [2, 4])
     @pytest.mark.parametrize("N", [2, 3, 4, 5])

@@ -15,7 +15,6 @@ from rotorzeros.zeros import (
     VERIFIED,
     VIOLATED,
     ZeroReport,
-    classify_lee_yang,
     find_roots,
     solved_rungs,
     stabilize_chain,
@@ -113,36 +112,51 @@ class TestResidualGate:
         assert report.overall == INCONCLUSIVE
 
 
+def padded(roots, M):
+    """Ascending coefficients of prod (zeta - root), zero-padded to degree M."""
+    coeffs = list(np.poly(roots)[::-1])
+    return coeffs + [0.0] * (M + 1 - len(coeffs))
+
+
+def ladder(roots, lower_roots=None):
+    """The report on rungs 10 and 12 with these roots (the lower rung's default to the upper's)."""
+    lower = roots if lower_roots is None else lower_roots
+    return stabilize_series(padded(lower, 10), padded(roots, 12))
+
+
 class TestClassify:
+    """The overall rule, reached only through a ladder with a lower rung."""
+
     def test_negative_reals_verified(self):
-        report = classify_lee_yang([-1.0, -2.0])
+        report = ladder([-1.0, -2.0])
         assert report.overall == VERIFIED
-        assert gammas(report) == [1.0, 0.5]
+        assert gammas(report) == pytest.approx([1.0, 0.5])
 
     def test_off_axis_violates(self):
-        report = classify_lee_yang([complex(-1, 0.5)], tol=1e-6)
+        report = ladder([complex(-1, 0.5), complex(-1, -0.5)])
         assert report.overall == VIOLATED
-        assert report.verdicts == (OFF_AXIS,)
+        assert report.verdicts == (OFF_AXIS, OFF_AXIS) and all(report.stable)
 
     def test_positive_real_root_violates(self):
-        report = classify_lee_yang([3.0 + 0j])
-        assert report.overall == VIOLATED
+        report = ladder([3.0])
+        assert report.overall == VIOLATED and report.stable == (True,)
 
     def test_only_stable_roots_enter_verdict(self):
-        report = classify_lee_yang(
-            [-1.0, complex(-2, 1.0)], stable=[True, False]
-        )
+        # the off-axis pair of the upper rung has no partner in the lower one
+        report = ladder([-1.0, complex(-2, 1.0), complex(-2, -1.0)], lower_roots=[-1.0, -10.0])
         assert report.overall == VERIFIED
-        assert report.verdicts[1] == OFF_AXIS and not report.stable[1]
+        assert report.stable == (True, False, False)
+        assert report.verdicts[1:] == (OFF_AXIS, OFF_AXIS)
 
     def test_negative_real_and_unstable_roots_inconclusive(self):
-        # 5e-6 off the axis lies between the tol and 10 tol wedges of -1
-        report = classify_lee_yang([-1.0, complex(-1, 5e-6)], tol=1e-6)
-        assert report.verdicts == (NEGATIVE_REAL, UNSTABLE)
+        # 1.5e-5 off the axis lies between the tol and 10 tol wedges of -3
+        report = ladder([-1.0, complex(-3, 1.5e-5)])
+        assert report.verdicts == (NEGATIVE_REAL, UNSTABLE) and all(report.stable)
         assert report.overall == INCONCLUSIVE
 
     def test_no_stable_roots_inconclusive(self):
-        report = classify_lee_yang([-1.0], stable=[False])
+        report = ladder([-1.0], lower_roots=[-2.0])
+        assert report.stable == (False,)
         assert report.overall == INCONCLUSIVE
 
 
@@ -172,16 +186,18 @@ class TestStabilize:
                 assert abs(r.imag) <= 1e-6 * (1 + abs(r)) and r.real < 0
 
     def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            stabilize_series({40: [1.0, 1.0]})
+        with pytest.raises(ValueError, match="at least two stages"):
+            stabilize_chain([1], 2, 0.5, SPHERE, (40, 40))
+
+    def test_reporting_window(self):
+        # at most min(M // 2, 30) roots of the degree-M upper rung are reported
+        roots = [-(1.5**k) for k in range(40)]
+        assert len(stabilize_series(padded(roots[:8], 10), padded(roots[:8], 13)).roots) == 6
+        assert len(stabilize_series(padded(roots, 70), padded(roots, 80)).roots) == 30
 
     def test_only_the_solved_rungs_are_read(self):
         assert solved_rungs([50, 30, 40, 40]) == [40, 50]
         assert solved_rungs([30]) == [30]
-        # a lower rung, even one with other roots, leaves the report as it is
-        coeffs = [2.0, 3.0, 1.0]
-        ladder = {10: coeffs + [0.0] * 8, 12: coeffs + [0.0] * 10}
-        assert stabilize_series({8: [1.0, -1.0, 5.0], **ladder}) == stabilize_series(ladder)
 
     def test_underflowed_rungs_raise(self):
         # at r = 1e-300 the series is (pi, 7.85e-301, 0.0, ...), so both rungs
@@ -231,8 +247,7 @@ class TestSyntheticViolation:
         # genuine complex pair well beyond the wedge: (1 + z/(2-i))(1 + z/(2+i))
         quad = np.array([1.0, 4.0 / 5.0, 1.0 / 5.0])
         tail = np.convolve(quad, [1.0, 0.25])  # extra real-negative root
-        series = {10: list(tail) + [0.0] * 7, 12: list(tail) + [0.0] * 9}
-        report = stabilize_series(series)
+        report = stabilize_series(list(tail) + [0.0] * 7, list(tail) + [0.0] * 9)
         assert report.overall == VIOLATED
         off = [v for v, s in zip(report.verdicts, report.stable) if s]
         assert OFF_AXIS in off
@@ -243,7 +258,7 @@ class TestReconstruction:
         # surrogate with every root captured: phi = (1+z)^2 + 4J z + 2 J^2 D
         J, D = 0.5, 2
         coeffs = [1 + 2 * J**2 * D, 2 + 4 * J, 1.0]
-        report = stabilize_series({10: coeffs + [0] * 8, 12: coeffs + [0] * 10})
+        report = stabilize_series(coeffs + [0] * 8, coeffs + [0] * 10)
         assert report.overall == VERIFIED and all(report.stable)
         # Z(0) * prod (1 + gamma zeta) over the reported gammas
         rebuilt = [coeffs[0]]

@@ -35,18 +35,14 @@ from .polys import (
     TruncatedPoly,
     VariableMismatchError,
     apply_operator,
+    delta_operator,
     diagonal_series,
     exp_operator,
     merge_2_3,
-)
-from .recursion import (
-    delta_operator,
-    phi_chain,
-    phi_from_transform,
-    psi_kernel,
     psi_step,
     psi_two,
 )
+from .recursion import phi_chain, phi_from_transform, psi_kernel
 from .zeros import (
     ZeroReport,
     find_roots,

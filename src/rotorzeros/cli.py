@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .geometry import self_test
 from .laguerre import counterexample_scan, violation_witnesses
-from .measures import MeasureError, RadialMeasure, _validated, laplace_transform
+from .measures import MeasureError, RadialMeasure, _finite, _validated, laplace_transform
 from .oracles import phi_modal
 from .polys import RATIONAL
 from .recursion import phi_chain
@@ -110,14 +110,6 @@ def _check_types(data):
             values = data[key] if key in LIST_KEYS else [data[key]]
             if not all(isinstance(v, int) for v in values):
                 raise ConfigError(f"{key} must hold integers, not {data[key]!r}")
-
-
-def _finite(x):
-    """Whether x is a finite float, or a Fraction inside the float range."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 @dataclass

@@ -225,20 +225,32 @@ def _poly_roots_nonpositive_real(coeffs, tol=1e-9):
     coeffs = np.trim_zeros(np.asarray(coeffs, float), "b")
     if coeffs.size <= 1:
         return True
-    roots = np.roots(coeffs[::-1])
+    try:
+        with np.errstate(all="ignore"):
+            roots = np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError:  # a root past the float range
+        return False
     scale = 1.0 + np.abs(roots)
     return bool(
         np.all(np.abs(roots.imag) <= tol * scale) and np.all(roots.real <= tol * scale)
     )
 
 
+def _finite(x):
+    """Whether x is a finite float, or a Fraction inside the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def validate_measure(measure: RadialMeasure) -> MeasureValidation:
     """Check the structural invariants of a radial measure.
 
-    Report-returning: never raises.  Confirms integrability of
-    exp(a * s) * tau(s) (bounded support, or deg(g) >= 2 with positive
-    leading coefficient, or finiteness on the tabulated grid at a = 1)
-    and nonnegativity of the profile.
+    Report-returning: never raises or warns.  Confirms that the numbers
+    are finite, integrability of exp(a * s) * tau(s) (bounded support, or
+    deg(g) >= 2 with positive leading coefficient, or finiteness on the
+    tabulated grid at a = 1) and nonnegativity of the profile.
     """
     checks = []
     certified = False
@@ -246,7 +258,7 @@ def validate_measure(measure: RadialMeasure) -> MeasureValidation:
         try:
             r = float(measure.radius)
             ok = r > 0 and math.isfinite(r)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         checks.append(("radius positive", ok, f"radius={measure.radius}"))
         checks.append(("compact support", ok, "sphere deltas are trivially integrable"))
@@ -267,13 +279,15 @@ def validate_measure(measure: RadialMeasure) -> MeasureValidation:
         checks.append(
             ("leading coefficient of g positive", lead_ok, f"g={list(measure.g_coeffs)}")
         )
-        f = np.asarray(measure.f_coeffs, float)
-        nonneg = f.size > 0
-        if nonneg and deg_ok and lead_ok:
-            grid = np.linspace(0.0, 20.0, 512)
-            nonneg = bool(np.all(measure.profile(grid) >= -1e-14))
+        finite = all(map(_finite, (*measure.f_coeffs, *measure.g_coeffs)))
+        checks.append(("coefficients finite", finite, ""))
+        nonneg = len(measure.f_coeffs) > 0
+        if nonneg and deg_ok and lead_ok and finite:
+            with np.errstate(all="ignore"):
+                tau = measure.profile(np.linspace(0.0, 20.0, 512))
+            nonneg = bool(np.all(np.isfinite(tau) & (tau >= -1e-14)))
         checks.append(("profile nonnegative", nonneg, "tau(s) >= 0 on sampled support"))
-        if deg_ok and lead_ok and nonneg:
+        if deg_ok and lead_ok and finite and nonneg:
             gp = [c * k for k, c in enumerate(measure.g_coeffs)][1:]
             certified = _poly_roots_nonpositive_real(
                 measure.f_coeffs
@@ -282,13 +296,16 @@ def validate_measure(measure: RadialMeasure) -> MeasureValidation:
         grid = np.array(measure.samples) if measure.samples else np.zeros((0, 2))
         has = grid.shape[0] >= 3
         checks.append(("at least three samples", has, f"n={grid.shape[0]}"))
-        if has:
+        finite = bool(np.isfinite(grid).all())
+        checks.append(("samples finite", finite, ""))
+        if has and finite:
             ascending = bool(np.all(np.diff(grid[:, 0]) > 0))
             checks.append(("grid ascending", ascending, ""))
             nonneg = bool(np.all(grid[:, 1] >= 0))
             checks.append(("profile nonnegative", nonneg, ""))
             if ascending:
-                val = _integrate().simpson(np.exp(grid[:, 0]) * grid[:, 1], x=grid[:, 0])
+                with np.errstate(all="ignore"):
+                    val = _integrate().simpson(np.exp(grid[:, 0]) * grid[:, 1], x=grid[:, 0])
                 checks.append(
                     (
                         "exp-weighted integral finite at a=1",

@@ -1,10 +1,14 @@
-"""Sparse truncated polynomial algebra over named Gram coordinates.
+"""Sparse truncated polynomial algebra over named Gram coordinates, and the
+paper's transfer construction written in it.
 
 A chain of D-vector spins is analyzed through the rotation invariants
 g_jk = z_j . z_k of up to three complex vectors.  This module provides the
 polynomial ring in those six coordinates (with total-degree truncation),
 linear differential operators whose every term lowers total degree by one,
-and their exactly-nilpotent exponentials.
+and their exactly-nilpotent exponentials.  On them it builds the chain
+kernel as the paper does: Psi_2 = exp(J Delta_2D) v(g11) v(g22), and each
+further spin through exp(J Delta_3D) and a slot merge.  That construction
+is the exact reference for ``recursion``'s fast chain, so it stays literal.
 
 Two coefficient fields are supported: ``float64`` for production runs and
 ``rational`` (``fractions.Fraction``) for exact identity verification.
@@ -14,6 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .measures import LaplaceSeries
 
 # Canonical coordinate order.  g11, g22, g33 are the squared vectors
 # (diagonal Gram entries), g12, g13, g23 the mixed products.
@@ -212,37 +220,6 @@ class TruncatedPoly:
             terms = {e: c for e, c in new_terms.items() if c != 0}
         return TruncatedPoly(self.variables, terms, self.max_degree, self.field)
 
-    def relabel(self, mapping):
-        """Rename variables (a bijection onto a subset of GRAM_VARS).
-
-        The result uses the canonical order of the renamed set.
-        """
-        new_names = tuple(mapping.get(v, v) for v in self.variables)
-        if len(set(new_names)) != len(new_names):
-            raise VariableMismatchError("relabel mapping is not injective")
-        order = tuple(v for v in GRAM_VARS if v in new_names)
-        perm = [new_names.index(v) for v in order]
-        terms = {}
-        for exp, c in self.terms.items():
-            terms[tuple(exp[p] for p in perm)] = c
-        return TruncatedPoly(order, terms, self.max_degree, self.field)
-
-    def embed(self, variables):
-        """View the polynomial in a larger variable set (zero exponents added)."""
-        variables = tuple(variables)
-        pos = []
-        for v in self.variables:
-            if v not in variables:
-                raise VariableMismatchError(f"target set is missing {v!r}")
-            pos.append(variables.index(v))
-        terms = {}
-        for exp, c in self.terms.items():
-            new_exp = [0] * len(variables)
-            for p, e in zip(pos, exp):
-                new_exp[p] = e
-            terms[tuple(new_exp)] = c
-        return TruncatedPoly(variables, terms, self.max_degree, self.field)
-
     def evaluate(self, point):
         """Evaluate at a complex point given as ``{var: value}``.
 
@@ -383,3 +360,94 @@ def diagonal_series(p: TruncatedPoly) -> list:
         out.pop()
     return out
 
+
+# ---------------------------------------------------------------------------
+# The paper's construction: Delta, Psi_2 and the chain step
+# ---------------------------------------------------------------------------
+
+# Exponent tuples over GRAM_VARS for operator multipliers.
+_E = {name: tuple(1 if v == name else 0 for v in GRAM_VARS) for name in GRAM_VARS}
+_E3 = {name: tuple(1 if v == name else 0 for v in PAIR_VARS) for name in PAIR_VARS}
+
+
+def _dimension(D):
+    """D as an int, or ValueError unless it is a positive integer."""
+    if D < 1 or int(D) != D:
+        raise ValueError(f"dimension must be a positive integer, got {D}")
+    return int(D)
+
+
+def delta_operator(arity, D) -> GramOperator:
+    """The Gram-variable representative of D_z1 . D_z2.
+
+    arity 2 acts on the pair ring (g11, g22, g12); arity 3 on the full
+    six-coordinate ring with the third vector as spectator.  Every term
+    lowers total degree by one, so the operator exponential is nilpotent
+    on polynomials.
+    """
+    D = _dimension(D)
+    if arity == 2:
+        zero = (0, 0, 0)
+        terms = (
+            OperatorTerm(D, zero, ("g12",)),
+            OperatorTerm(2, _E3["g11"], ("g11", "g12")),
+            OperatorTerm(2, _E3["g22"], ("g22", "g12")),
+            OperatorTerm(4, _E3["g12"], ("g11", "g22")),
+            OperatorTerm(1, _E3["g12"], ("g12", "g12")),
+        )
+        return GramOperator(PAIR_VARS, terms, D)
+    if arity == 3:
+        zero = (0,) * 6
+        terms = (
+            OperatorTerm(D, zero, ("g12",)),
+            OperatorTerm(2, _E["g11"], ("g11", "g12")),
+            OperatorTerm(2, _E["g22"], ("g22", "g12")),
+            OperatorTerm(1, _E["g33"], ("g13", "g23")),
+            OperatorTerm(4, _E["g12"], ("g11", "g22")),
+            OperatorTerm(1, _E["g12"], ("g12", "g12")),
+            OperatorTerm(2, _E["g13"], ("g11", "g23")),
+            OperatorTerm(1, _E["g13"], ("g12", "g13")),
+            OperatorTerm(2, _E["g23"], ("g22", "g13")),
+            OperatorTerm(1, _E["g23"], ("g12", "g23")),
+        )
+        return GramOperator(GRAM_VARS, terms, D)
+    raise ValueError(f"arity must be 2 or 3, got {arity}")
+
+
+def _series_poly(v: LaplaceSeries, var, variables):
+    return TruncatedPoly.from_univariate(
+        v.coefficients, var, variables, v.truncation_degree, v.field
+    )
+
+
+def psi_two(v1: LaplaceSeries, v2: LaplaceSeries, J) -> TruncatedPoly:
+    """Psi_2 = exp(J * Delta_2D) v1(g11) v2(g22), in the ring (g11, g22, g12).
+
+    Exact given the truncated inputs.  In rational mode the pi^(D/2) mass
+    factors of v1 and v2 are carried outside the polynomial (see
+    LaplaceSeries.pi_power).
+    """
+    if v1.dimension != v2.dimension:
+        raise ValueError("transforms have different dimensions")
+    if v1.truncation_degree != v2.truncation_degree or v1.field != v2.field:
+        raise ValueError("transforms must share truncation degree and field")
+    p = _series_poly(v1, "g11", PAIR_VARS) * _series_poly(v2, "g22", PAIR_VARS)
+    return exp_operator(J, delta_operator(2, v1.dimension), p)
+
+
+def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J) -> TruncatedPoly:
+    """One chain extension: absorb a new end spin into Psi_{N-1}.
+
+    Moves psi_prev's slots (g11, g22, g12) to (g22, g33, g23) of the
+    six-variable ring, multiplies by the new spin's transform in g11,
+    applies exp(J * Delta_3D), and identifies slots 2 and 3: slot 2 then
+    carries the field of every spin but the new one.
+    """
+    if psi_prev.variables != PAIR_VARS:
+        raise ValueError("psi_prev must live in the pair ring (g11, g22, g12)")
+    if psi_prev.max_degree != v.truncation_degree or psi_prev.field != v.field:
+        raise ValueError("transform and kernel must share degree cap and field")
+    terms = {(0, a11, a22, 0, 0, a12): c for (a11, a22, a12), c in psi_prev.terms.items()}
+    shifted = TruncatedPoly(GRAM_VARS, terms, psi_prev.max_degree, psi_prev.field)
+    p = _series_poly(v, "g11", GRAM_VARS) * shifted
+    return merge_2_3(exp_operator(J, delta_operator(3, v.dimension), p))

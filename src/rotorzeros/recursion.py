@@ -1,21 +1,17 @@
-"""Transfer recursion for the chain partition function.
+"""The fast transfer chain for the chain partition function.
 
-The two-boundary kernel Psi_N(zeta1, zeta2, zeta12) is built inductively:
-Psi_2 couples two single-spin transforms through exp(J * Delta_2D), and each
-further spin enters through exp(J * Delta_3D) followed by identifying the
-second and third vector slots.  The full-chain function of the squared
-field is then the diagonal phi_N(zeta) = Psi_N(zeta, zeta, zeta), so that
-Z_N(z) = phi_N(z^2).
+The kernel Psi_N(zeta1, zeta2, zeta12) of a chain of N spins carries the
+field of the end spin in slot 1 and the field of every other spin in slot 2.
+The full-chain function of the squared field is its diagonal
+phi_N(zeta) = Psi_N(zeta, zeta, zeta), so that Z_N(z) = phi_N(z^2).
 
 The chain driver takes one fast step per coefficient field: a Taylor
 re-expansion of Psi_{N-1} around the diagonal, which needs only univariate
 transforms, on dense float tensors or in exact integers.  The rational
 chain carries Psi_N between steps as integer rows over one least common
 denominator and makes Fractions only for phi_N and ``psi_kernel``.  The
-operator construction (``psi_two`` and ``psi_step``) applies the nilpotent
-differential-operator exponentials literally on sparse polynomials; it is
-the paper's construction and the exact reference the tests check the fast
-step against, term by term.
+paper's operator construction in ``polys`` (``psi_two`` and ``psi_step``)
+is the reference the tests check both steps against, term by term.
 """
 
 from __future__ import annotations
@@ -30,108 +26,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import LaplaceSeries, RadialMeasure, laplace_transform
-from .polys import (
-    FLOAT,
-    GRAM_VARS,
-    PAIR_VARS,
-    RATIONAL,
-    GramOperator,
-    OperatorTerm,
-    TruncatedPoly,
-    coerce_scalar,
-    exp_operator,
-    merge_2_3,
-)
-
-# Exponent tuples over GRAM_VARS for operator multipliers.
-_E = {name: tuple(1 if v == name else 0 for v in GRAM_VARS) for name in GRAM_VARS}
-_E3 = {name: tuple(1 if v == name else 0 for v in PAIR_VARS) for name in PAIR_VARS}
-
-
-def _dimension(D):
-    """D as an int, or ValueError unless it is a positive integer."""
-    if D < 1 or int(D) != D:
-        raise ValueError(f"dimension must be a positive integer, got {D}")
-    return int(D)
-
-
-def delta_operator(arity, D) -> GramOperator:
-    """The Gram-variable representative of D_z1 . D_z2.
-
-    arity 2 acts on the pair ring (g11, g22, g12); arity 3 on the full
-    six-coordinate ring with the third vector as spectator.  Every term
-    lowers total degree by one, so the operator exponential is nilpotent
-    on polynomials.
-    """
-    D = _dimension(D)
-    if arity == 2:
-        zero = (0, 0, 0)
-        terms = (
-            OperatorTerm(D, zero, ("g12",)),
-            OperatorTerm(2, _E3["g11"], ("g11", "g12")),
-            OperatorTerm(2, _E3["g22"], ("g22", "g12")),
-            OperatorTerm(4, _E3["g12"], ("g11", "g22")),
-            OperatorTerm(1, _E3["g12"], ("g12", "g12")),
-        )
-        return GramOperator(PAIR_VARS, terms, D)
-    if arity == 3:
-        zero = (0,) * 6
-        terms = (
-            OperatorTerm(D, zero, ("g12",)),
-            OperatorTerm(2, _E["g11"], ("g11", "g12")),
-            OperatorTerm(2, _E["g22"], ("g22", "g12")),
-            OperatorTerm(1, _E["g33"], ("g13", "g23")),
-            OperatorTerm(4, _E["g12"], ("g11", "g22")),
-            OperatorTerm(1, _E["g12"], ("g12", "g12")),
-            OperatorTerm(2, _E["g13"], ("g11", "g23")),
-            OperatorTerm(1, _E["g13"], ("g12", "g13")),
-            OperatorTerm(2, _E["g23"], ("g22", "g13")),
-            OperatorTerm(1, _E["g23"], ("g12", "g23")),
-        )
-        return GramOperator(GRAM_VARS, terms, D)
-    raise ValueError(f"arity must be 2 or 3, got {arity}")
-
-
-def _series_poly(v: LaplaceSeries, var, variables):
-    return TruncatedPoly.from_univariate(
-        v.coefficients, var, variables, v.truncation_degree, v.field
-    )
-
-
-def psi_two(v1: LaplaceSeries, v2: LaplaceSeries, J) -> TruncatedPoly:
-    """Psi_2 = exp(J * Delta_2D) v1(g11) v2(g22), in the ring (g11, g22, g12).
-
-    Exact given the truncated inputs.  In rational mode the pi^(D/2) mass
-    factors of v1 and v2 are carried outside the polynomial (see
-    LaplaceSeries.pi_power).
-    """
-    if v1.dimension != v2.dimension:
-        raise ValueError("transforms have different dimensions")
-    if v1.truncation_degree != v2.truncation_degree or v1.field != v2.field:
-        raise ValueError("transforms must share truncation degree and field")
-    p = _series_poly(v1, "g11", PAIR_VARS) * _series_poly(v2, "g22", PAIR_VARS)
-    return exp_operator(J, delta_operator(2, v1.dimension), p)
-
-
-def psi_step(v: LaplaceSeries, psi_prev: TruncatedPoly, J) -> TruncatedPoly:
-    """One chain extension: absorb a new boundary spin into Psi_{N-1}.
-
-    Relabels psi_prev into the slots (g22, g33, g23), multiplies by the new
-    spin's transform in g11, applies exp(J * Delta_3D) in the six-variable
-    ring, and identifies slots 2 and 3.
-    """
-    if psi_prev.variables != PAIR_VARS:
-        raise ValueError("psi_prev must live in the pair ring (g11, g22, g12)")
-    if psi_prev.max_degree != v.truncation_degree or psi_prev.field != v.field:
-        raise ValueError("transform and kernel must share degree cap and field")
-    shifted = psi_prev.relabel({"g11": "g22", "g22": "g33", "g12": "g23"})
-    p = _series_poly(v, "g11", GRAM_VARS) * shifted.embed(GRAM_VARS)
-    q = exp_operator(J, delta_operator(3, v.dimension), p)
-    return merge_2_3(q)
-
+from .polys import FLOAT, PAIR_VARS, RATIONAL, TruncatedPoly, _dimension, coerce_scalar
 
 # ---------------------------------------------------------------------------
-# The fast step: the same recursion through diagonal Taylor data
+# The fast step: the chain step through diagonal Taylor data
 # ---------------------------------------------------------------------------
 #
 # Integrating the new spin sigma exactly gives
@@ -402,12 +300,6 @@ def _advance_exact(v, P, J, D, M):
 # ---------------------------------------------------------------------------
 
 
-def _diag_from_tensor(P, M):
-    n1 = M + 1
-    deg = np.add.outer(np.add.outer(np.arange(n1), np.arange(n1)), np.arange(n1))
-    return np.bincount(deg.ravel(), weights=P.ravel(), minlength=n1)[: n1]
-
-
 def _chain(v: LaplaceSeries, J):
     """Grow the chain from the transform v one spin at a time.
 
@@ -417,6 +309,7 @@ def _chain(v: LaplaceSeries, J):
     coefficients of phi_N.  N = 1 yields no kernel (None): its kernel
     v(g11) is the seed of the first step, built only when that step is taken.
     The transform's D must be a positive integer, in both fields and every J.
+    A float diagonal that is not finite raises OverflowError naming N.
     """
     D = _dimension(v.dimension)
     M = v.truncation_degree
@@ -430,7 +323,7 @@ def _chain(v: LaplaceSeries, J):
                 Pn[al][0][0] = x
             return Pn, dv
 
-        def diagonal(P):
+        def diagonal(P, N):
             Pn, dP = P
             return [Fraction(x, dP) for x in _diagonal_sums(Pn, M)]
 
@@ -445,17 +338,25 @@ def _chain(v: LaplaceSeries, J):
             P[:, 0, 0] = v_arr
             return P
 
-        def diagonal(P):
-            return _diag_from_tensor(P, M).tolist()
+        def diagonal(P, N):
+            r = np.arange(M + 1)
+            deg = np.add.outer(np.add.outer(r, r), r)
+            diag = np.bincount(deg.ravel(), weights=P.ravel(), minlength=M + 1)[: M + 1]
+            bad = ~np.isfinite(diag)
+            if bad.any():
+                raise OverflowError(f"N={N}: chain coefficient of degree {np.argmax(bad)} is not finite")
+            return diag.tolist()
 
         def advance(P):
-            return _advance_float(v_arr, P, float(J), D, M)
+            # an overflow shows in the diagonal, which every cell inside the cap feeds
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _advance_float(v_arr, P, float(J), D, M)
 
     yield None, tuple(v.coefficients)
     kernel = seed()
-    while True:
+    for N in itertools.count(2):
         kernel = advance(kernel)
-        yield kernel, tuple(diagonal(kernel))
+        yield kernel, tuple(diagonal(kernel, N))
 
 
 def phi_from_transform(v: LaplaceSeries, Ns, J):
@@ -485,13 +386,14 @@ def phi_from_transform(v: LaplaceSeries, Ns, J):
 
 
 def psi_kernel(v: LaplaceSeries, N, J) -> TruncatedPoly:
-    """The two-boundary kernel Psi_N itself, as a pair-ring polynomial.
+    """The kernel Psi_N itself, as a pair-ring polynomial.
 
-    phi is its diagonal; the full kernel is useful for slot-sensitive
-    checks and for seeding longer chains.
+    Slot 1 carries the field of the end spin, slot 2 the field of every
+    other spin; phi is its diagonal.  The full kernel is useful for
+    slot-sensitive checks and for seeding longer chains.
     """
     if N < 2 or int(N) != N:
-        raise ValueError("the two-boundary kernel needs at least two spins")
+        raise ValueError("the chain kernel needs at least two spins")
     kernel, _ = next(itertools.islice(_chain(v, J), int(N) - 1, None))
     if v.field == RATIONAL:
         Pn, dP = kernel

@@ -31,14 +31,11 @@ from rotorzeros.polys import (
     GRAM_VARS,
     PAIR_VARS,
     apply_operator,
-    diagonal_series,
-)
-from rotorzeros.recursion import (
     delta_operator,
-    phi_chain,
-    phi_from_transform,
+    diagonal_series,
     psi_two,
 )
+from rotorzeros.recursion import phi_chain, phi_from_transform
 from rotorzeros.zeros import VERIFIED, VIOLATED, find_roots, stabilize_chain
 from random_polys import random_poly
 from test_recursion import coupling_consistency_trials, surrogate

@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import rotorzeros
-from rotorzeros import cli, zeros
+from rotorzeros import cli, polys, zeros
 from rotorzeros.cli import ConfigError, RunConfig, main, run
-from rotorzeros.measures import RadialMeasure
+from rotorzeros.measures import RadialMeasure, laplace_transform
 from rotorzeros.recursion import phi_chain
 from rotorzeros.zeros import INCONCLUSIVE, VERIFIED, VIOLATED
 
@@ -553,6 +553,27 @@ class TestRun:
         [error] = report["errors"]
         assert error.startswith("numeric failure: D=2, J=1e+308: ")
 
+    @pytest.mark.parametrize(
+        "command, radius, status, degree",
+        [("verify", 1e4, 0, None), ("verify", 3e4, 3, 25), ("verify", 1e6, 3, 5), ("phi", 1e6, 3, 5)],
+    )
+    def test_float_chain_overflow_names_its_chain(self, tmp_path, command, radius, status, degree):
+        # the float step overflows past r = 1e4 at the default ladder; the
+        # failure names the first chain whose coefficient is not finite, no
+        # warning escapes, and phi writes no row of inf or nan
+        sphere = {"kind": "sphere", "radius": radius}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(
+            tmp_path, command=command, measure=sphere, N=[1, 2, 3], degreeLadder=[30, 40]
+        )))
+        assert main(["--config", str(cfg_path)]) == status
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        if degree is not None:
+            assert report["errors"] == [
+                f"numeric failure: D=2, J=0.5: N=3: chain coefficient of degree {degree} is not finite"
+            ]
+            assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_verify_computes_only_the_two_solved_rungs(self, tmp_path, monkeypatch):
         # the ladder solves only its top two rungs, so a lower rung is never
         # computed and leaves no trace in the artifacts
@@ -608,6 +629,36 @@ class TestRun:
         a = (tmp_path / "a" / "zeros_2_2_0.5.csv").read_bytes()
         b = (tmp_path / "b" / "zeros_2_2_0.5.csv").read_bytes()
         assert a == b
+
+
+class TestNoCommandRunsTheOperatorConstruction:
+    """The operator construction in ``polys`` is the reference that tests
+    check the fast chain against; every command runs without it."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"D": [2, 3]},
+            {"backend": "rational", "degreeLadder": [10, 12]},
+            {"command": "phi"},
+            {"command": "laplace"},
+            {"command": "oracle-compare"},
+            {"command": "counterexample-scan", "D": [1], "degreeLadder": list(RunConfig.degree_ladder)},
+        ],
+        ids=["verify-float", "verify-rational", "phi", "laplace", "oracle-compare", "counterexample-scan"],
+    )
+    def test_command_exits_0_without_it(self, tmp_path, monkeypatch, overrides):
+        def refuse(*args):
+            raise AssertionError("a command routed through the operator construction")
+
+        for name in ("exp_operator", "apply_operator", "merge_2_3"):
+            monkeypatch.setattr(polys, name, refuse)
+        v = laplace_transform(RadialMeasure.sphere(1.0), 2, 6)
+        with pytest.raises(AssertionError):  # the construction reads the patched names
+            polys.psi_two(v, v, 0.5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, N=[1, 2, 3], **overrides)))
+        assert main(["--config", str(cfg_path)]) == 0
 
 
 class TestMainEntry:

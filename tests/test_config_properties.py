@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorzeros.cli import COMMANDS, CONFIG_KEYS, ConfigError, RunConfig, main
+from rotorzeros.measures import MeasureValidation, RadialMeasure, validate_measure
 
 HUGE = [10**400, -(10**400)]  # past the float range: float() overflows on them
 SCALARS = st.one_of(
@@ -38,6 +39,18 @@ MEASURES = st.one_of(
         {"kind": st.just("tabulated"), "samples": st.lists(st.lists(NUMBERS, min_size=2, max_size=2), max_size=4)}
     ),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=MEASURES, exact=st.booleans())
+def test_validate_measure_returns_a_report(data, exact):
+    # a warning, which the test settings turn into an error, fails it too
+    try:
+        measure = RadialMeasure.from_json(data, exact=exact)
+    except (ValueError, OverflowError):  # MeasureError is a ValueError
+        return
+    assert isinstance(validate_measure(measure), MeasureValidation)
+
 
 # a config close to a valid one, with numbers that may be anything json reads
 NEAR_VALID = st.fixed_dictionaries(
@@ -110,17 +123,18 @@ def ends_in_a_status(data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(data=small_configs("verify", [0.5, 1, 2]))
+@given(data=small_configs("verify", [0.5, 1, 2, 1e6]))
 def test_valid_verify_config_ends_in_a_status(data):
     assert ends_in_a_status(data)
 
 
-# radius 1000 overflows the Funk-Hecke modal series that oracle-compare reads
+# radius 1000 overflows the Funk-Hecke modal series that oracle-compare
+# reads, and radius 1e6 the float chain
 @pytest.mark.parametrize("command", ["laplace", "phi", "oracle-compare"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_valid_config_of_another_command_ends_in_a_status(command, data):
-    assert ends_in_a_status(data.draw(small_configs(command, [0.5, 1, 2, 1000])))
+    assert ends_in_a_status(data.draw(small_configs(command, [0.5, 1, 2, 1000, 1e6])))
 
 
 # phi^4, the quartic well exp(-(1 + a) s + 2 s^2 - s^3) at a few a, and (1 + 2 s) exp(-s^4)

@@ -180,6 +180,22 @@ class TestValidation:
         report2 = validate_measure(RadialMeasure.tabulated([(0.0, 1.0), (1.0, -1.0), (2.0, 0.5)]))
         assert not report2.passed
 
+    @pytest.mark.parametrize(
+        "measure, failed",
+        [
+            (RadialMeasure.sphere(Fraction(10**400)), ["radius positive", "compact support"]),
+            (RadialMeasure.density([1.0], [0.0, 1.0, math.inf]), ["coefficients finite"]),
+            (RadialMeasure.tabulated([(0.0, 1.0), (1.0, math.nan), (2.0, 0.5)]), ["samples finite"]),
+            # finite numbers whose g' has a root past the float range: valid, uncertified
+            (RadialMeasure.density([1.0], [0.0, 1e308, 1e-308]), []),
+        ],
+    )
+    def test_numbers_past_the_float_range_fail_a_named_check(self, measure, failed):
+        # a report, never an exception; Tier-1 makes any warning an error too
+        report = validate_measure(measure)
+        assert [c[0] for c in report.failures()] == failed
+        assert not report.certified_lee_yang
+
     def test_measure_json_round_trip(self):
         for m in (SPHERE, GAUSS):
             again = RadialMeasure.from_json(m.to_json())

@@ -15,10 +15,10 @@ from rotorzeros.polys import (
     VariableMismatchError,
     apply_operator,
     diagonal_series,
+    delta_operator,
     exp_operator,
     merge_2_3,
 )
-from rotorzeros.recursion import delta_operator
 
 from random_polys import random_poly
 

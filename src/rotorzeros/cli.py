@@ -33,14 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, zeros
 from .geometry import self_test
 from .laguerre import counterexample_scan, violation_witnesses
 from .measures import MeasureError, RadialMeasure, _finite, _validated, laplace_transform
 from .oracles import phi_modal
 from .polys import RATIONAL
 from .recursion import phi_chain
-from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, solved_rungs, stabilize_chain, stable_coefficient_count
+from .zeros import AXIS_TOL, DRIFT_TOL, VIOLATED, solved_rungs, stabilize_rungs, stable_coefficient_count
 
 SCHEMA_VERSION = 1
 
@@ -271,13 +271,31 @@ def _at(**item):
         raise RuntimeError(f"{where}: {exc}") from exc
 
 
-def _stabilize_task(cfg: RunConfig, D, J):
-    """Stabilized zeros of every N in cfg.Ns from one (D, J) chain, keyed (N, D, J)."""
-    with _at(D=D, J=_fmt(J)):
-        reports = stabilize_chain(
-            cfg.Ns, D, J, cfg.measure, solved_rungs(cfg.degree_ladder),
-            tol=cfg.axis_tol, drift_tol=cfg.drift_tol, field=cfg.backend,
-        )
+def _chain_task(cfg: RunConfig, M, D, J):
+    """{N: float coefficients} of every N in cfg.Ns from one rung-M chain, or its numeric failure."""
+    try:
+        with _at(D=D, J=_fmt(J)):
+            chain = zeros.phi_chain(cfg.Ns, D, J, cfg.measure, M, cfg.backend)
+            return {N: chain[N].float_coefficients() for N in cfg.Ns}
+    except RuntimeError as exc:
+        return exc
+
+
+def _verdict_task(cfg: RunConfig, D, J, *chains):
+    """Stabilized zeros of every N keyed (N, D, J) from a pair's solved chains, or its numeric failure.
+
+    ``chains`` are the chain tasks' results, lower rung first, so a pair
+    reports its lower rung's failure before its top rung's.
+    """
+    for chain in chains:
+        if isinstance(chain, Exception):
+            return chain
+    try:
+        with _at(D=D, J=_fmt(J)):
+            rungs = solved_rungs(cfg.degree_ladder)
+            reports = stabilize_rungs(dict(zip(rungs, chains)), cfg.axis_tol, cfg.drift_tol)
+    except RuntimeError as exc:
+        return exc
     return {(N, D, J): rep for N, rep in reports.items()}
 
 
@@ -318,29 +336,49 @@ def _one_blas_thread():
     """Cap numpy's bundled OpenBLAS at one thread; a no-op where it is not found.
 
     The float step's one BLAS call is too small to gain from threads, which
-    spin between the step's products and double a run's CPU time.
+    spin between the step's products and double a run's CPU time.  A count
+    already at 1 is left alone: a worker forked from a capped caller
+    inherits the cap, and setting it again starts a thread that spins.
     """
     try:
         # dlsym on the extension's handle also searches the libraries it loaded
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
         set_threads = lib.scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
         return
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    set_threads(1)
+    get_threads.restype = ctypes.c_int
+    if get_threads() > 1:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
 
 
 def _grid_reports(cfg: RunConfig):
-    """stabilize over the (N, D, J) grid, one task per (D, J) sharing its chain across N."""
-    Ds, Js = zip(*itertools.product(cfg.Ds, cfg.Js))
-    task = functools.partial(_stabilize_task, cfg)
+    """Stabilize over the (N, D, J) grid: ({(N, D, J): report}, [one failure per failing pair]).
+
+    One chain task per (M, D, J) serves every N of the pair; the top rung's
+    chains, the longest tasks, are issued first so that a pool balances
+    them.  Then one verdict task per (D, J) solves its pair's two rungs.
+    """
+    pairs = list(itertools.product(cfg.Ds, cfg.Js))
+    rungs = solved_rungs(cfg.degree_ladder)
+    chain_keys = [(M, D, J) for M in reversed(rungs) for D, J in pairs]
+    chain_task = functools.partial(_chain_task, cfg)
+    verdict_task = functools.partial(_verdict_task, cfg)
+
+    def solve(mapper):
+        chains = dict(zip(chain_keys, mapper(chain_task, *zip(*chain_keys))))
+        per_rung = [[chains[M, D, J] for D, J in pairs] for M in rungs]
+        return list(mapper(verdict_task, *zip(*pairs), *per_rung))
+
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_one_blas_thread) as pool:
-            parts = list(pool.map(task, Ds, Js))
+            parts = solve(pool.map)
     else:
-        parts = list(map(task, Ds, Js))
-    return {key: rep for part in parts for key, rep in part.items()}
+        parts = solve(map)
+    reports = {key: rep for part in parts if isinstance(part, dict) for key, rep in part.items()}
+    return reports, [part for part in parts if isinstance(part, Exception)]
 
 
 def run(cfg: RunConfig) -> int:
@@ -385,7 +423,8 @@ def run(cfg: RunConfig) -> int:
                             series.metadata(stable_through=stable),
                         )
         elif cfg.command in GRID_COMMANDS:
-            reports = _grid_reports(cfg)
+            reports, failures = _grid_reports(cfg)
+            errors.extend(f"numeric failure: {exc}" for exc in failures)
             for (N, D, J), rep in sorted(reports.items()):
                 in_regime = _theorem_regime(D, J, certified)
                 scope = "theorem" if in_regime else "outside theorem guarantee"

@@ -40,14 +40,6 @@ VIOLATED = "LeeYangViolated"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _polyval_many(coeffs, x):
-    # ascending coefficients, Horner
-    total = np.zeros_like(x, dtype=complex)
-    for c in coeffs[::-1]:
-        total = total * x + c
-    return total
-
-
 def _residual_scale(coeffs, x):
     powers = np.ones_like(x, dtype=float)
     scale = np.full(x.shape, abs(coeffs[0]), dtype=float)
@@ -100,7 +92,7 @@ def find_roots(coefficients) -> RootSet:
         raise RuntimeError(f"series underflowed: coefficient of degree {np.argmax(tiny)} is subnormal")
     roots = np.roots(coeffs[::-1])
     with np.errstate(all="ignore"):
-        pv = _polyval_many(coeffs, roots)
+        pv = np.polyval(coeffs[::-1], roots)
         scale = _residual_scale(coeffs, roots)
         converged = (np.abs(pv) <= RESIDUAL_TOL * scale) & np.isfinite(roots)
         # an exact root (zeta = 0 of c_0 = 0, say) has pv = 0 and may have scale 0
@@ -244,18 +236,29 @@ def stabilize_chain(Ns, D, J, measure: RadialMeasure, degree_ladder, tol=AXIS_TO
     that need only the verdicts pass ``solved_rungs(ladder)``; the
     exact-chain benchmark passes its whole ladder and records each rung's
     coefficients.  N = 1 is the single-spin transform: no recursion step.
-    A solved rung whose last nonzero coefficient is not above the lower
-    rung's raises ``RuntimeError`` naming N and both rungs.
+    The verdicts come from ``stabilize_rungs`` on the two solved rungs.
     """
     degrees = sorted(set(int(m) for m in degree_ladder))
     if len(degrees) < 2:
         raise ValueError("degree ladder needs at least two stages")
-    lower, top = solved_rungs(degrees)
+    solved = solved_rungs(degrees)
     coeffs = {}
     for M in degrees:
         chain = phi_chain(Ns, D, J, measure, M, field)
-        if M in (lower, top):
+        if M in solved:
             coeffs[M] = {n: chain[n].float_coefficients() for n in Ns}
+    return stabilize_rungs(coeffs, tol, drift_tol)
+
+
+def stabilize_rungs(coeffs, tol=AXIS_TOL, drift_tol=DRIFT_TOL):
+    """Ladder verdicts {N: ZeroReport} from the float coefficients of the two solved rungs.
+
+    ``coeffs`` maps each of the two rungs M to {N: ascending coefficients}.
+    A solved rung whose last nonzero coefficient is not above the lower
+    rung's raises ``RuntimeError`` naming N and both rungs.
+    """
+    lower, top = sorted(coeffs)
+    Ns = list(coeffs[top])
     reports = {n: stabilize_series(coeffs[lower][n], coeffs[top][n], tol, drift_tol) for n in Ns}
     # a measure's series has no zero coefficient: a rung no higher in degree than
     # the one below has underflowed, and its drift check compares a root with itself

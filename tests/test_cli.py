@@ -182,7 +182,7 @@ class TestRun:
         # Violated verdict there is a bug signal; at odd D it is not
         pair = [1.25, 2.0, 1.0]  # stable roots -1 +- 0.5i
         violated = zeros.stabilize_series(pair + [0.0] * 8, pair + [0.0] * 10)
-        monkeypatch.setattr(cli, "stabilize_chain", lambda Ns, *args, **kwargs: {N: violated for N in Ns})
+        monkeypatch.setattr(cli, "stabilize_rungs", lambda coeffs, *args: {N: violated for N in coeffs[30]})
         assert run(RunConfig.from_dict(make_config(tmp_path, D=[D]))) == status
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [(v["overall"], v["scope"]) for v in report["verdicts"]] == [(VIOLATED, scope)]
@@ -311,6 +311,9 @@ class TestRun:
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, pool = self._serial_and_pool_csvs(tmp_path, N=[2, 3], D=[2, 4], J=[0.5, 0.7])
         assert len(serial) == 8 and pool == serial
+        # an odd pair count leaves one worker a chain more than the other
+        serial, pool = self._serial_and_pool_csvs(tmp_path / "odd", N=[2, 3], D=[2, 4, 6], J=[0.5])
+        assert len(serial) == 6 and pool == serial
 
     def test_parallel_rational_jobs_match_serial(self, tmp_path):
         serial, pool = self._serial_and_pool_csvs(
@@ -320,8 +323,9 @@ class TestRun:
         assert len(serial) == 8 and pool == serial
 
     def test_pool_maps_one_task_per_dimension_and_coupling(self, tmp_path, monkeypatch):
-        # every chain length of a (D, J) pair comes from one recursion, so
-        # the pool gets one task per pair, not one per (N, D, J)
+        # every chain length of a (D, J) pair comes from one recursion per
+        # rung, so the pool gets one chain task per (M, D, J), top rung
+        # first, then one verdict task per pair with its lower rung first
         mapped = []
 
         class InlineExecutor:
@@ -337,13 +341,19 @@ class TestRun:
 
             def map(self, fn, *iterables):
                 for args in zip(*iterables):
-                    mapped.append(args)
+                    mapped.append((fn.func, args))
                     yield fn(*args)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
         grid = dict(N=[2, 3, 5], D=[2, 4], J=[0.5, 0.7], jobs=2)
         assert run(RunConfig.from_dict(make_config(tmp_path, **grid))) == 0
-        assert sorted(mapped) == [(2, 0.5), (2, 0.7), (4, 0.5), (4, 0.7)]
+        pairs = [(2, 0.5), (2, 0.7), (4, 0.5), (4, 0.7)]
+        assert [fn for fn, _ in mapped] == [cli._chain_task] * 8 + [cli._verdict_task] * 4
+        assert [args for _, args in mapped[:8]] == [(M, *pair) for M in (30, 20) for pair in pairs]
+        verdicts = [args for _, args in mapped[8:]]
+        assert [args[:2] for args in verdicts] == pairs
+        # each N's coefficients of rung M have M + 1 entries
+        assert all([len(args[2][5]), len(args[3][5])] == [21, 31] for args in verdicts)
         assert len(list((tmp_path / "out").glob("zeros_*.csv"))) == 12
 
     def test_counterexample_scan_command(self, tmp_path):
@@ -516,7 +526,8 @@ class TestRun:
         assert run(cfg) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["errors"] == [
-            "numeric failure: D=2, J=0.5: sphere coefficient of degree 2 overflows at r=1e+300"
+            "numeric failure: D=2, J=0.5: sphere coefficient of degree 2 overflows at r=1e+300",
+            "numeric failure: D=4, J=0.5: sphere coefficient of degree 1 overflows at r=1e+300",
         ]
 
     def test_oracle_compare_overflow_names_its_item(self, tmp_path):
@@ -573,6 +584,30 @@ class TestRun:
                 f"numeric failure: D=2, J=0.5: N=3: chain coefficient of degree {degree} is not finite"
             ]
             assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_chain_keeps_the_finished_pairs(self, tmp_path, jobs):
+        # three of the four pairs overflow at r = 3e4; the fourth still
+        # writes its verdicts and CSVs, and each failing pair records one
+        # error, in grid order, naming its lower rung's chain
+        sphere = {"kind": "sphere", "radius": 3e4}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make_config(
+            tmp_path, measure=sphere, N=[1, 2, 3], D=[2, 4], J=[0.5, 0.1], degreeLadder=[30, 40],
+            jobs=jobs,
+        )))
+        assert main(["--config", str(cfg_path)]) == 3
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert [(v["N"], v["D"], v["J"], v["overall"]) for v in report["verdicts"]] == [
+            (N, 2, 0.1, INCONCLUSIVE) for N in (1, 2, 3)
+        ]
+        assert sorted(f.name for f in out.glob("*.csv")) == [f"zeros_{N}_2_0.1.csv" for N in (1, 2, 3)]
+        assert report["errors"] == [
+            f"numeric failure: D={D}, J={J}: N=3: chain coefficient of degree {degree} is not finite"
+            for D, J, degree in ((2, 0.5, 25), (4, 0.5, 18), (4, 0.1, 34))
+        ]
+        assert report["exit_status"] == 3
 
     def test_verify_computes_only_the_two_solved_rungs(self, tmp_path, monkeypatch):
         # the ladder solves only its top two rungs, so a lower rung is never
@@ -993,7 +1028,24 @@ class TestOneBlasThread:
             + "cli.ProcessPoolExecutor = Probed\n"
             + f"print(cli.run(cli.RunConfig.from_dict({cfg!r})))\n"
         )
-        assert out.split() == ["1", "0"]
+        # one line per map: the chain tasks', then the verdict tasks'
+        assert out.split() == ["1", "1", "0"]
+
+def test_one_blas_thread_leaves_a_capped_count_alone(monkeypatch):
+    # a worker forked from a capped caller already counts one thread;
+    # setting the count again would start an OpenBLAS thread that spins
+    def get_threads():
+        return 1
+
+    def set_threads(n):
+        raise AssertionError("the setter was called")
+
+    library = type("Library", (), {
+        "scipy_openblas_get_num_threads64_": staticmethod(get_threads),
+        "scipy_openblas_set_num_threads64_": staticmethod(set_threads),
+    })
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: library())
+    cli._one_blas_thread()
 
 
 def test_console_script_resolves_to_main():
